@@ -58,8 +58,15 @@ def _scenario_formulations(sc: Scenario) -> list[str]:
     return [sc.formulation]
 
 
-def _run_one(sc: Scenario, formulation: str) -> Trajectory:
+def _run_one(sc: Scenario, formulation: str, corrupt_momentum: float = 0.0,
+             validate: bool = True) -> Trajectory:
+    """Integrate one formulation; ``corrupt_momentum`` scales the position
+    formulation's pi by 1 + corrupt_momentum (compare's negative control)."""
     state = sc.initial_state(formulation)
+    if corrupt_momentum and formulation == "position":
+        state = dynamics.PositionState(
+            state.x, state.u, state.y, state.pi * (1.0 + corrupt_momentum)
+        )
     t0 = time.perf_counter()
     traj = dynamics.integrate(
         state,
@@ -68,6 +75,7 @@ def _run_one(sc: Scenario, formulation: str) -> Trajectory:
         n_steps=sc.n_steps,
         q=sc.charge,
         record_every=sc.record_every,
+        validate=validate,
     )
     _timing(f"integrated {sc.name}/{formulation}: {sc.n_steps} steps "
             f"in {time.perf_counter() - t0:.2f}s")
@@ -163,10 +171,10 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if failed else EXIT_OK
 
 
-def _compare_worker(payload: tuple[str, str]) -> tuple[str, Trajectory]:
-    source, formulation = payload
+def _compare_worker(payload: tuple[str, str, float, bool]) -> tuple[str, Trajectory]:
+    source, formulation, corrupt_momentum, validate = payload
     sc = load_scenario(source)
-    return formulation, _run_one(sc, formulation)
+    return formulation, _run_one(sc, formulation, corrupt_momentum, validate)
 
 
 def cmd_compare(args) -> int:
@@ -179,19 +187,10 @@ def cmd_compare(args) -> int:
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             trajs = dict(pool.map(_compare_worker,
-                                  [(args.scenario, f) for f in formulations]))
+                                  [(args.scenario, f, args.corrupt_momentum, validate)
+                                   for f in formulations]))
     else:
-        trajs = {}
-        for formulation in formulations:
-            state = sc.initial_state(formulation)
-            if args.corrupt_momentum and formulation == "position":
-                state = dynamics.PositionState(
-                    state.x, state.u, state.y, state.pi * (1.0 + args.corrupt_momentum)
-                )
-            trajs[formulation] = dynamics.integrate(
-                state, sc.build_field(), dt=sc.dt, n_steps=sc.n_steps,
-                q=sc.charge, record_every=sc.record_every, validate=validate,
-            )
+        trajs = {f: _run_one(sc, f, args.corrupt_momentum, validate) for f in formulations}
     _timing(f"compare {sc.name}: {time.perf_counter() - t0:.2f}s")
     report = dynamics.compare_trajectories(trajs)
     tol = sc.tolerances["compare"] * args.tol_scale

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-import scipy.constants as _codata
-
 # Natural-unit fundamentals.  Do not change these; the closed forms and
 # frozen test values assume them.
 HBAR = 1.0
@@ -42,10 +40,14 @@ REST_ENERGY = MASS * C**2
 #: Proper-time period of one zitter revolution, 2 pi / OMEGA0.
 T0 = 2.0 * math.pi / OMEGA0
 
-_ME = _codata.m_e
-_C_SI = _codata.c
-_HBAR_SI = _codata.hbar
-_E_SI = _codata.e
+# SI values: the electron mass is CODATA 2022; c, e and hbar = h / (2 pi)
+# are exact in the 2019 SI.  Written as literals so that importing zsim
+# does not import scipy.constants; tests/test_constants.py pins each one
+# to scipy.constants bit for bit.
+_ME = 9.1093837139e-31
+_C_SI = 299792458.0
+_HBAR_SI = 1.0545718176461565e-34
+_E_SI = 1.602176634e-19
 
 #: Conversion factors: value_in_SI = value_natural * SI_UNITS[key].
 SI_UNITS = {

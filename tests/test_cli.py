@@ -1,10 +1,15 @@
 """Command-line interface: verbs, exit codes, artifact determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zsim
 from zsim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from zsim.scenario import load_scenario
 from zsim.trajio import read_csv
@@ -112,6 +117,36 @@ def test_compare_corrupted_momentum_detected(tmp_path, capsys):
     assert report["pass"] is False
     assert report["overall"] > 100 * report["tolerance"]
     assert "FAIL equivalence" in capsys.readouterr().out
+
+
+def test_compare_corrupted_momentum_detected_with_jobs(tmp_path):
+    """The worker pool applies the corruption and --no-validate too."""
+    rc = main(
+        ["compare", "--scenario", "free-rest", "--no-validate",
+         "--corrupt-momentum", "0.01", "--jobs", "2", "--out", str(tmp_path)]
+    )
+    assert rc == EXIT_FAIL
+    report = json.loads((tmp_path / "free-rest-compare.json").read_text())
+    assert report["pass"] is False
+
+
+def test_compare_jobs_report_byte_identical(tmp_path):
+    for jobs in ("1", "2"):
+        rc = main(["compare", "--scenario", "free-rest", "--jobs", jobs,
+                   "--out", str(tmp_path / jobs)])
+        assert rc == EXIT_OK
+    name = "free-rest-compare.json"
+    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is loaded only by the ensemble verb, never at import time."""
+    src = str(Path(zsim.__file__).resolve().parents[1])
+    code = ("import sys, zsim.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_compare_needs_multiple_formulations(tmp_path):

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chi2
 
+from zsim import kernels, wavefield
 from zsim.constants import C, MASS, OMEGA0, T0
 from zsim.dynamics import matched_initial_states
 from zsim.minkowski import BoostParams, boost_vector, gamma_of, mdot
@@ -192,6 +194,7 @@ def test_ensemble_free_flow_stays_uniform():
     rep = ensemble_uniformity(drifting_state(), n=20_000, periods=2.0, seed=0, bins=8)
     assert rep.p_value > 0.05, f"chi2 {rep.chi2}, p {rep.p_value}"
     assert rep.dof == 8**3 - 1
+    assert rep.p_value == float(chi2.sf(rep.chi2, rep.dof))
 
 
 def test_ensemble_corrupted_flow_rejected():
@@ -201,6 +204,7 @@ def test_ensemble_corrupted_flow_rejected():
     )
     assert rep.p_value < 1e-6, f"chi2 {rep.chi2}, p {rep.p_value}"
     assert rep.chi2 > 10 * rep.dof
+    assert rep.p_value == float(chi2.sf(rep.chi2, rep.dof))
 
 
 def test_ensemble_corrupted_needs_drift():
@@ -225,6 +229,50 @@ def test_ensemble_deterministic_and_serializable():
     assert rep1.chi2 == rep2.chi2
     d = rep1.to_dict()
     assert d["flow"] == "free" and d["n"] == 5_000 and len(d["counts_sha256"]) == 64
+
+
+def _corrupted_flow_reference(x0, tau0, drift, osc_a, osc_b, pvec, span, n_steps):
+    """The numpy corrupted flow as first written: one (n, 3) pass per stage."""
+    pa = 2.0 * float(pvec @ osc_a)
+    pb = 2.0 * float(pvec @ osc_b)
+    h = span / n_steps
+    x = np.ascontiguousarray(x0, dtype=np.float64).copy()
+    theta = np.ascontiguousarray(tau0, dtype=np.float64).copy()
+
+    def rates(th):
+        c = np.cos(OMEGA0 * th)
+        s = np.sin(OMEGA0 * th)
+        dx = (
+            drift[None, :]
+            - osc_a[None, :] * c[:, None]
+            - osc_b[None, :] * s[:, None]
+        )
+        return 1.0 + pa * c + pb * s, dx
+
+    for _ in range(n_steps):
+        k1t, k1x = rates(theta)
+        k2t, k2x = rates(theta + 0.5 * h * k1t)
+        k3t, k3x = rates(theta + 0.5 * h * k2t)
+        k4t, k4x = rates(theta + h * k3t)
+        theta += (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
+        x += (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    return x
+
+
+@pytest.mark.parametrize("n", [5, 2 * wavefield._FLOW_BLOCK + 37])
+def test_corrupted_flow_numpy_matches_reference(monkeypatch, n):
+    """The blocked out= loop of the numpy fallback is the reference loop
+    byte for byte, also across a partial last block."""
+    monkeypatch.setattr(kernels, "JITTED", False)
+    state = matched_initial_states(1.1, 0.4, velocity=np.array([0.3, -0.2, 0.4]))["position"]
+    drift, osc_a, osc_b = wavefield._oscillation_coefficients(state)
+    x0 = np.random.default_rng(3).random((n, 3)) * 2.0
+    tau0 = -(x0 @ state.pi[1:]) / (MASS * C**2)
+    args = (x0, tau0, drift, osc_a, osc_b, state.pi[1:], 1.5 * T0, 75)
+    got = wavefield._corrupted_flow(*args)
+    want = _corrupted_flow_reference(*args)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_ensemble_rejects_bad_arguments():
