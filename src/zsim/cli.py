@@ -25,13 +25,19 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, spinor, spinstates, spintensor, trajio, wavefield
-from .scenario import Scenario, ScenarioError, load_scenario, parse_angle, preset_names
+from .scenario import (
+    Scenario,
+    ScenarioError,
+    load_scenario,
+    parse_angle,
+    parse_velocity,
+    preset_names,
+)
 from .states import FORMULATIONS, Trajectory
 
 EXIT_OK = 0
@@ -185,6 +191,9 @@ def cmd_compare(args) -> int:
     validate = not args.no_validate
     t0 = time.perf_counter()
     if args.jobs > 1:
+        # imported here: only this branch uses it, and it costs import time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             trajs = dict(pool.map(_compare_worker,
                                   [(args.scenario, f, args.corrupt_momentum, validate)
@@ -257,9 +266,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    velocity = np.array([float(v) for v in args.velocity.replace(",", " ").split()])
-    if velocity.shape != (3,):
-        raise ScenarioError("--velocity needs three components")
+    velocity = parse_velocity(args.velocity, "--velocity")
     vel = velocity if float(np.linalg.norm(velocity)) > 0 else None
     state = dynamics.matched_initial_states(
         parse_angle(args.theta), parse_angle(args.phi), velocity=vel
@@ -323,6 +330,18 @@ def cmd_wave(args) -> int:
     return EXIT_OK
 
 
+def _positive(kind):
+    def convert(text: str):
+        value = kind(text)
+        if not (value > 0 and math.isfinite(value)):
+            raise argparse.ArgumentTypeError(f"must be a positive finite {kind.__name__}, "
+                                             f"got {text!r}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zsim",
@@ -355,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="equivalence of the formulations")
     common(p_cmp)
-    p_cmp.add_argument("--jobs", type=int, default=1,
+    p_cmp.add_argument("--jobs", type=_positive(int), default=1,
                        help="integrate formulations in parallel processes")
     p_cmp.add_argument("--no-validate", action="store_true",
                        help="skip the initial-state constraint validator")
@@ -376,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--phi", default="0")
     p_sample.add_argument("--device-theta", default="0")
     p_sample.add_argument("--device-phi", default="0")
-    p_sample.add_argument("--count", type=int, default=100_000)
+    p_sample.add_argument("--count", type=_positive(int), default=100_000)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--tag", default="spin", help="artifact name suffix")
     p_sample.add_argument("--out", default=None)
@@ -384,13 +403,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="density uniformity transport check")
     p_ens.add_argument("--flow", choices=["free", "corrupted"], default="free")
-    p_ens.add_argument("--n", type=int, default=100_000)
-    p_ens.add_argument("--periods", type=float, default=10.0)
+    p_ens.add_argument("--n", type=_positive(int), default=100_000)
+    p_ens.add_argument("--periods", type=_positive(float), default=10.0)
     p_ens.add_argument("--seed", type=int, default=0)
-    p_ens.add_argument("--bins", type=int, default=16)
-    p_ens.add_argument("--box", type=float, default=2.0)
-    p_ens.add_argument("--alpha", type=float, default=0.01)
-    p_ens.add_argument("--steps-per-period", type=int, default=50)
+    p_ens.add_argument("--bins", type=_positive(int), default=16)
+    p_ens.add_argument("--box", type=_positive(float), default=2.0)
+    p_ens.add_argument("--alpha", type=_positive(float), default=0.01)
+    p_ens.add_argument("--steps-per-period", type=_positive(int), default=50)
     p_ens.add_argument("--velocity", default="0.7 0 0")
     p_ens.add_argument("--theta", default="0")
     p_ens.add_argument("--phi", default="0")
@@ -417,7 +436,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except dynamics.ConstraintViolationError as exc:
+    except (dynamics.ConstraintViolationError, dynamics.IntegrationDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 

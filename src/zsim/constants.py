@@ -62,13 +62,3 @@ SI_UNITS = {
     "electric_field_V_per_m": _ME**2 * _C_SI**3 / (_E_SI * _HBAR_SI),
     "action_J_s": _HBAR_SI,
 }
-
-
-def tesla_to_natural(b_tesla: float) -> float:
-    """Convert a magnetic field from Tesla to natural field units."""
-    return b_tesla / SI_UNITS["magnetic_field_T"]
-
-
-def volts_per_meter_to_natural(e_si: float) -> float:
-    """Convert an electric field from V/m to natural field units."""
-    return e_si / SI_UNITS["electric_field_V_per_m"]

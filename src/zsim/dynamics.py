@@ -24,22 +24,21 @@ is a direct quality metric of the integration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .constants import C, HBAR, MASS, OMEGA0, Q_ELECTRON, R0
-from .emfield import (
-    CoulombField,
-    FieldModel,
-    FreeField,
-    UniformEB,
-    field_at,
-    force_at,
+from .emfield import CoulombField, FieldModel, FreeField, UniformEB, force_at
+from .minkowski import (
+    BoostParams,
+    Vec4,
+    antisymmetric_parts,
+    antisymmetric_tensor,
+    boost_vector,
+    lower,
 )
-from .minkowski import BoostParams, Vec4, boost_vector, lower, mdot
 from .spinor import (
     SPIN_OP,
     GAMMA0,
@@ -73,6 +72,10 @@ class ConstraintViolationError(ValueError):
         msg = ", ".join(f"{name}: {res:.3e}" for name, res in failures)
         super().__init__(f"constraint validation failed: {msg}")
 
+    def __reduce__(self):
+        # rebuild from the failures, so the error crosses a process pool
+        return type(self), (self.failures,)
+
 
 class IntegrationDivergedError(RuntimeError):
     """Integration hit a non-finite state at proper time ``tau``."""
@@ -80,6 +83,9 @@ class IntegrationDivergedError(RuntimeError):
     def __init__(self, tau: float):
         self.tau = tau
         super().__init__(f"integration diverged near tau = {tau:.6g}")
+
+    def __reduce__(self):
+        return type(self), (self.tau,)
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +122,6 @@ def deriv_spinor(state: SpinorState, model: FieldModel, q: float = Q_ELECTRON) -
 # Constraint residuals and validation.
 
 
-def _z_from_spin_parts(d: np.ndarray, s: np.ndarray, pi: Vec4) -> Vec4:
-    """Local vector z = -S pi / (m c)^2 from the (d, s) split of S."""
-    z = np.empty(4)
-    z[0] = np.dot(d, pi[1:])
-    z[1:] = d * pi[0] + np.cross(s, pi[1:])
-    return z / (MASS * C) ** 2
-
-
 def local_vector(state: DynState) -> Vec4:
     """Spin-motion vector z for any formulation."""
     if isinstance(state, PositionState):
@@ -149,14 +147,8 @@ def constraint_residuals(state: DynState) -> dict[str, float]:
     * c3 = pi.u / m - c^2
     * g  = z.pi
     """
-    u = velocity_of(state)
-    z = local_vector(state)
-    return {
-        "c1": float(mdot(u, u)),
-        "c2": float(mdot(z, z)) + R0**2,
-        "c3": float(mdot(state.pi, u)) / MASS - C**2,
-        "g": float(mdot(z, state.pi)),
-    }
+    rows = [v[None, :] for v in (velocity_of(state), state.pi, local_vector(state))]
+    return {k: float(v[0]) for k, v in _residual_arrays(*rows).items()}
 
 
 def validate_state(state: DynState, tol: float = 1e-10) -> None:
@@ -220,8 +212,7 @@ def pack_state(state: DynState) -> np.ndarray:
     if isinstance(state, PositionState):
         return np.concatenate([state.x, state.u, state.y, state.pi])
     if isinstance(state, SpinTensorState):
-        s, d = _spin_parts_of_matrix(state.spin)
-        return np.concatenate([state.x, state.u, state.pi, d, s])
+        return np.concatenate([state.x, state.u, state.pi, *antisymmetric_parts(state.spin)])
     return np.concatenate(
         [state.x.astype(np.complex128), state.pi.astype(np.complex128), state.phi]
     )
@@ -231,25 +222,9 @@ def unpack_state(formulation: str, packed: np.ndarray) -> DynState:
     if formulation == "position":
         return PositionState(packed[0:4], packed[4:8], packed[8:12], packed[12:16])
     if formulation == "spintensor":
-        spin = _matrix_of_spin_parts(packed[12:15], packed[15:18])
+        spin = antisymmetric_tensor(packed[12:15], packed[15:18])
         return SpinTensorState(packed[0:4], packed[4:8], spin, packed[8:12])
     return SpinorState(packed[0:4].real, packed[8:12], packed[4:8].real)
-
-
-def _spin_parts_of_matrix(spin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    s = np.array([spin[3, 2], spin[1, 3], spin[2, 1]])
-    d = np.array([spin[0, 1], spin[0, 2], spin[0, 3]])
-    return s, d
-
-
-def _matrix_of_spin_parts(d: np.ndarray, s: np.ndarray) -> np.ndarray:
-    spin = np.zeros((4, 4))
-    spin[0, 1:] = d
-    spin[1:, 0] = -d
-    spin[1, 2], spin[2, 1] = -s[2], s[2]
-    spin[1, 3], spin[3, 1] = s[1], -s[1]
-    spin[2, 3], spin[3, 2] = -s[0], s[0]
-    return spin
 
 
 # ---------------------------------------------------------------------------
@@ -277,12 +252,7 @@ def _zs_from_parts(ds: np.ndarray, ss: np.ndarray, pis: np.ndarray) -> np.ndarra
     return zs / (MASS * C) ** 2
 
 
-def _residual_arrays(
-    xs: np.ndarray,
-    us: np.ndarray,
-    pis: np.ndarray,
-    zs: np.ndarray,
-) -> dict[str, np.ndarray]:
+def _residual_arrays(us: np.ndarray, pis: np.ndarray, zs: np.ndarray) -> dict[str, np.ndarray]:
     return {
         "c1": _mdot_rows(us, us),
         "c2": _mdot_rows(zs, zs) + R0**2,
@@ -308,11 +278,13 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration, recording every ``record_every`` steps.
 
-    ``n_steps`` must be a multiple of ``record_every``.  With
+    ``n_steps`` must be a positive multiple of ``record_every`` >= 1.  With
     ``validate=True`` (default) the initial state must pass the constraint
     validator; integration never projects constraints afterwards.
     Non-finite states abort with IntegrationDivergedError.
     """
+    if record_every < 1 or n_steps < 1:
+        raise ValueError("n_steps and record_every must be at least 1")
     if n_steps % record_every != 0:
         raise ValueError("n_steps must be a multiple of record_every")
     if dt <= 0.0:
@@ -337,20 +309,20 @@ def _trajectory_from_packed(formulation: str, taus: np.ndarray, out: np.ndarray)
     if formulation == "position":
         xs, us, ys, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:16]
         zs = xs - ys
-        res = _residual_arrays(xs, us, pis, zs)
+        res = _residual_arrays(us, pis, zs)
         return Trajectory(formulation, taus, xs, us, pis, ys=ys, residuals=res)
     if formulation == "spintensor":
         xs, us, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12]
         ds, ss = out[:, 12:15], out[:, 15:18]
         zs = _zs_from_parts(ds, ss, pis)
-        res = _residual_arrays(xs, us, pis, zs)
+        res = _residual_arrays(us, pis, zs)
         spins = np.concatenate([ds, ss], axis=1)
         return Trajectory(formulation, taus, xs, us, pis, spins=spins, residuals=res)
     xs, pis, phis = out[:, 0:4].real, out[:, 4:8].real, out[:, 8:12]
     us = velocity_observable(phis)
     ds, ss = _spinor_spin_parts(phis)
     zs = _zs_from_parts(ds, ss, pis)
-    res = _residual_arrays(xs, us, pis, zs)
+    res = _residual_arrays(us, pis, zs)
     return Trajectory(formulation, taus, xs, us, pis, phis=phis, residuals=res)
 
 
@@ -441,8 +413,7 @@ def map_states(state: DynState, target: str) -> DynState:
     spin = spin_tensor_observable(state.phi)
     if target == "spintensor":
         return SpinTensorState(state.x, u, spin, state.pi)
-    z = -(spin @ lower(state.pi)) / (MASS * C) ** 2
-    return PositionState(state.x, u, state.x - z, state.pi)
+    return PositionState(state.x, u, state.x - local_vector(state), state.pi)
 
 
 def matched_initial_states(
@@ -514,10 +485,7 @@ def spin_part_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
         assert traj.phis is not None
         return _spinor_spin_parts(traj.phis)
     assert traj.ys is not None
-    zs = traj.xs - traj.ys
-    ss = MASS * np.cross(zs[:, 1:], traj.us[:, 1:])
-    ds = MASS * (traj.us[:, 0:1] * zs[:, 1:] - zs[:, 0:1] * traj.us[:, 1:])
-    return ds, ss
+    return spin_vectors_direct(traj.xs - traj.ys, traj.us)
 
 
 @dataclass
@@ -603,7 +571,7 @@ def fourth_order_residual(
     es = np.empty((x1.shape[0], 3))
     bs = np.empty((x1.shape[0], 3))
     for k, xrow in enumerate(xs[inner]):
-        e, b = field_at(model, xrow)
+        e, b = model.eb_at(xrow)
         es[k] = e
         bs[k] = b
     force = np.empty_like(x1)
@@ -636,45 +604,30 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
     (1/m) pi.pi - m c^2 - f.z.
     """
     ds, ss = spin_part_arrays(traj)
-    ls = np.einsum("ni,nj->nij", traj.xs, traj.pis) - np.einsum(
-        "ni,nj->nij", traj.pis, traj.xs
-    )
-    spins = np.zeros_like(ls)
-    spins[:, 0, 1:] = ds
-    spins[:, 1:, 0] = -ds
-    spins[:, 1, 2], spins[:, 2, 1] = -ss[:, 2], ss[:, 2]
-    spins[:, 1, 3], spins[:, 3, 1] = ss[:, 1], -ss[:, 1]
-    spins[:, 2, 3], spins[:, 3, 2] = -ss[:, 0], ss[:, 0]
-    js = ls + spins
+    xs, us, pis = traj.xs, traj.us, traj.pis
+    js = _wedge_rows(xs, pis) + antisymmetric_tensor(ds, ss)
+    fs = np.stack([force_at(model, q, x, u) for x, u in zip(xs, us)])
 
     out = dict(traj.max_residuals())
     if isinstance(model, FreeField):
         out["j_drift"] = float(np.abs(js - js[0]).max())
-        out["pi_drift"] = float(np.abs(traj.pis - traj.pis[0]).max())
+        out["pi_drift"] = float(np.abs(pis - pis[0]).max())
     else:
-        dt = traj.dt
-        jdot = (js[2:] - js[:-2]) / (2 * dt)
-        torque = np.empty_like(jdot)
-        for k in range(jdot.shape[0]):
-            f = force_at(model, q, traj.xs[k + 1], traj.us[k + 1])
-            torque[k] = np.outer(traj.xs[k + 1], f) - np.outer(f, traj.xs[k + 1])
+        jdot = (js[2:] - js[:-2]) / (2 * traj.dt)
+        torque = _wedge_rows(xs[1:-1], fs[1:-1])
         out["torque_residual"] = float(np.abs(jdot - torque).max())
 
     # Energy equation along the run.
-    phis_energy = np.empty(len(traj))
-    for k in range(len(traj)):
-        f = force_at(model, q, traj.xs[k], traj.us[k])
-        z = _z_row(traj, k, ds, ss)
-        phis_energy[k] = mdot(f, z)
-    pipi = _mdot_rows(traj.pis, traj.pis)
+    if traj.formulation == "position":
+        assert traj.ys is not None
+        zs = xs - traj.ys
+    else:
+        zs = _zs_from_parts(ds, ss, pis)
     out["energy_residual"] = float(
-        np.abs(pipi / MASS - MASS * C**2 - phis_energy).max()
+        np.abs(_mdot_rows(pis, pis) / MASS - MASS * C**2 - _mdot_rows(fs, zs)).max()
     )
     return out
 
 
-def _z_row(traj: Trajectory, k: int, ds: np.ndarray, ss: np.ndarray) -> Vec4:
-    if traj.formulation == "position":
-        assert traj.ys is not None
-        return traj.xs[k] - traj.ys[k]
-    return _z_from_spin_parts(ds[k], ss[k], traj.pis[k])
+def _wedge_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ni,nj->nij", a, b) - np.einsum("ni,nj->nij", b, a)

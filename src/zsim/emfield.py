@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .minkowski import Vec4, lower
+from .minkowski import Vec4, antisymmetric_tensor, lower
 
 
 class FieldSingularityError(ValueError):
@@ -96,25 +96,9 @@ class CoulombField:
 FieldModel = Union[FreeField, UniformEB, CoulombField]
 
 
-def field_at(model: FieldModel, x: Vec4) -> tuple[np.ndarray, np.ndarray]:
-    """Electric and magnetic three-vectors of ``model`` at event x."""
-    return model.eb_at(x)
-
-
 def field_tensor(e: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Contravariant field tensor F for fields (e, b), c = 1."""
-    e = np.asarray(e, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    f = np.zeros((4, 4))
-    f[0, 1:] = -e
-    f[1:, 0] = e
-    f[1, 2] = -b[2]
-    f[2, 1] = b[2]
-    f[1, 3] = b[1]
-    f[3, 1] = -b[1]
-    f[2, 3] = -b[0]
-    f[3, 2] = b[0]
-    return f
+    return antisymmetric_tensor(-np.asarray(e, dtype=np.float64), b)
 
 
 def lorentz_force(q: float, e: np.ndarray, b: np.ndarray, u: Vec4) -> Vec4:

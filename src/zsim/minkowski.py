@@ -54,6 +54,33 @@ def spatial(a: np.ndarray) -> np.ndarray:
     return np.asarray(a)[..., 1:]
 
 
+def antisymmetric_tensor(d: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Antisymmetric 4x4 tensor T from its time-space part d and space part s.
+
+    T[0][i] = d_i, T[i][0] = -d_i and T[i][j] = -eps_ijk s_k, so
+    T[3][2] = s_1, T[1][3] = s_2, T[2][1] = s_3.  This is the layout of
+    the spin tensor (d, s) and of the field tensor (-E, B).  Inputs of
+    shape (..., 3) give a stack of shape (..., 4, 4).
+    """
+    d = np.asarray(d, dtype=np.float64)
+    s = np.asarray(s, dtype=np.float64)
+    t = np.zeros(np.broadcast_shapes(d.shape[:-1], s.shape[:-1]) + (4, 4))
+    t[..., 0, 1:] = d
+    t[..., 1:, 0] = -d
+    t[..., 1, 2], t[..., 2, 1] = -s[..., 2], s[..., 2]
+    t[..., 1, 3], t[..., 3, 1] = s[..., 1], -s[..., 1]
+    t[..., 2, 3], t[..., 3, 2] = -s[..., 0], s[..., 0]
+    return t
+
+
+def antisymmetric_parts(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of antisymmetric_tensor: the (d, s) parts of T, shape (..., 3)."""
+    t = np.asarray(t)
+    d = t[..., 0, 1:].copy()
+    s = np.stack([t[..., 3, 2], t[..., 1, 3], t[..., 2, 1]], axis=-1)
+    return d, s
+
+
 def gamma_of(v: np.ndarray) -> float:
     """Lorentz factor of a three-velocity with |v| < c (= 1)."""
     v = np.asarray(v, dtype=np.float64)

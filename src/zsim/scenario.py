@@ -70,10 +70,16 @@ _DEFAULTS = {
 }
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ScenarioError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def parse_angle(text: str) -> float:
     """Float literal or a simple multiple of pi such as '2*pi/3'."""
     try:
-        return float(text)
+        return _finite(float(text), "angle")
     except ValueError:
         pass
     m = _PI_FORM.match(text)
@@ -82,7 +88,9 @@ def parse_angle(text: str) -> float:
     sign = -1.0 if m.group(1) == "-" else 1.0
     num = float(m.group(2)) if m.group(2) else 1.0
     den = float(m.group(3)) if m.group(3) else 1.0
-    return sign * num * math.pi / den
+    if den == 0.0:
+        raise ScenarioError(f"cannot parse angle {text!r}: division by zero")
+    return _finite(sign * num * math.pi / den, "angle")
 
 
 def _parse_vector(text: str, length: int, what: str) -> np.ndarray:
@@ -90,9 +98,21 @@ def _parse_vector(text: str, length: int, what: str) -> np.ndarray:
     if len(parts) != length:
         raise ScenarioError(f"{what} needs {length} components, got {text!r}")
     try:
-        return np.array([float(p) for p in parts])
+        vec = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ScenarioError(f"bad number in {what}: {exc}") from None
+    if not np.all(np.isfinite(vec)):
+        raise ScenarioError(f"{what} has non-finite components: {text!r}")
+    return vec
+
+
+def parse_velocity(text: str, what: str) -> np.ndarray:
+    """Three-velocity from text, rejecting speeds at or above c (= 1)."""
+    v = _parse_vector(text, 3, what)
+    speed = float(np.linalg.norm(v))
+    if speed >= 1.0:
+        raise ScenarioError(f"{what} must be slower than light, got |v| = {speed!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -174,15 +194,16 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     try:
         steps_per_period = cp.getint("run", "steps_per_period")
         record_every = cp.getint("run", "record_every")
-        periods = cp.getfloat("run", "periods")
-        charge = cp.getfloat("run", "charge")
-        tolerances = {k: float(v) for k, v in cp.items("tolerances")}
-        z_charge = cp.getfloat("field", "z")
+        periods = _finite(cp.getfloat("run", "periods"), "run.periods")
+        charge = _finite(cp.getfloat("run", "charge"), "run.charge")
+        tolerances = {k: _finite(float(v), f"tolerances.{k}")
+                      for k, v in cp.items("tolerances")}
+        z_charge = _finite(cp.getfloat("field", "z"), "field.z")
     except ValueError as exc:
         raise ScenarioError(f"bad numeric value: {exc}") from None
     if steps_per_period <= 0 or record_every <= 0 or periods <= 0:
         raise ScenarioError("run parameters must be positive")
-    return Scenario(
+    sc = Scenario(
         name=cp.get("scenario", "name"),
         formulation=formulation,
         field_variant=cp.get("field", "variant").strip(),
@@ -194,7 +215,7 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         theta=parse_angle(cp.get("initial", "theta")),
         phi=parse_angle(cp.get("initial", "phi")),
         phase=parse_angle(cp.get("initial", "phase")),
-        velocity=_parse_vector(cp.get("initial", "velocity"), 3, "initial.velocity"),
+        velocity=parse_velocity(cp.get("initial", "velocity"), "initial.velocity"),
         origin=_parse_vector(cp.get("initial", "origin"), 4, "initial.origin"),
         raw_vectors=raw,
         steps_per_period=steps_per_period,
@@ -203,6 +224,12 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         charge=charge,
         tolerances=tolerances,
     )
+    if sc.n_steps == 0:
+        raise ScenarioError(
+            f"run has no steps: periods * steps_per_period = "
+            f"{periods * steps_per_period!r} rounds to fewer than record_every = {record_every}"
+        )
+    return sc
 
 
 PRESETS: dict[str, str] = {

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .constants import C, HBAR, MASS, OMEGA0, OMEGA1, REST_ENERGY
-from .minkowski import BoostParams, Vec4, lower, mdot
+from .minkowski import METRIC, BoostParams, Vec4, lower, mdot
 
 Amplitudes = NDArray[np.complex128]
 
@@ -41,8 +41,6 @@ GAMMA5 = np.block([[_Z2, _I2], [_I2, _Z2]])
 
 #: Velocity operators u^mu = c gamma^mu.
 U_OP = [C * g for g in GAMMA]
-
-_METRIC_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def spin_operator(mu: int, nu: int) -> np.ndarray:
@@ -265,7 +263,7 @@ def operator_identity_suite(pi: Vec4) -> dict[str, float]:
     for mu in range(4):
         for nu in range(4):
             lhs = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
-            target = 2.0 * (_METRIC_DIAG[mu] if mu == nu else 0.0) * eye
+            target = 2.0 * METRIC[mu, nu] * eye
             res_anti = max(res_anti, float(np.abs(lhs - target).max()))
 
     res_h2 = float(np.abs(h @ h - C**2 * mdot(pi, pi) * eye).max())

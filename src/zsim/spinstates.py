@@ -24,7 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, HBAR, MASS, OMEGA0, OMEGA1
+from .minkowski import antisymmetric_parts
 from .spinor import (
+    PAULI,
     StateFunction,
     evolve_amplitudes,
     spin_tensor_observable,
@@ -34,10 +36,6 @@ from .spinor import (
 
 PI_REST = np.array([MASS * C, 0.0, 0.0, 0.0])
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
 
 def axis_vector(theta: float, phi: float = 0.0) -> np.ndarray:
     """Unit 3-vector with polar angle theta and azimuth phi."""
@@ -46,10 +44,21 @@ def axis_vector(theta: float, phi: float = 0.0) -> np.ndarray:
     )
 
 
+def _sigma(n: np.ndarray) -> np.ndarray:
+    return n[0] * PAULI[0] + n[1] * PAULI[1] + n[2] * PAULI[2]
+
+
+def _observable_of(n: np.ndarray) -> np.ndarray:
+    s = _sigma(n)
+    out = np.zeros((4, 4), dtype=np.complex128)
+    out[:2, :2] = s
+    out[2:, 2:] = -s
+    return out
+
+
 def sigma_axis(theta: float, phi: float = 0.0) -> np.ndarray:
     """2x2 axis operator sigma_n, eigenvalues +-1."""
-    n = axis_vector(theta, phi)
-    return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+    return _sigma(axis_vector(theta, phi))
 
 
 def spin_operator_axis(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -67,11 +76,7 @@ def sigma_axis_observable(theta: float, phi: float = 0.0) -> np.ndarray:
     Plain expectations of this operator equal the bilinear spin-vector
     components projected on the axis, scaled by 2/hbar.
     """
-    s = sigma_axis(theta, phi)
-    out = np.zeros((4, 4), dtype=np.complex128)
-    out[:2, :2] = s
-    out[2:, 2:] = -s
-    return out
+    return _observable_of(axis_vector(theta, phi))
 
 
 def spin_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -98,8 +103,7 @@ def spin_state(theta: float, phi: float = 0.0, tau: float = 0.0) -> StateFunctio
 
 def polarization_vector(amps: np.ndarray) -> np.ndarray:
     """Unit polarization 2 s / (hbar tdot) of an amplitude vector."""
-    spin = spin_tensor_observable(amps)
-    s = np.array([spin[3, 2], spin[1, 3], spin[2, 1]])
+    _, s = antisymmetric_parts(spin_tensor_observable(amps))
     return (2.0 / HBAR) * s / tdot_of(amps)
 
 
@@ -187,16 +191,10 @@ def axis_noncommutativity(axis_a: np.ndarray, axis_b: np.ndarray) -> dict[str, f
     Different-axis spin components do not commute, so no joint
     distribution backs consecutive measurements along skew axes.
     """
-    def obs(n):
-        s = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-        out = np.zeros((4, 4), dtype=np.complex128)
-        out[:2, :2] = s
-        out[2:, 2:] = -s
-        return out
-
     a = np.asarray(axis_a, dtype=np.float64)
     b = np.asarray(axis_b, dtype=np.float64)
-    comm = obs(a) @ obs(b) - obs(b) @ obs(a)
+    obs_a, obs_b = _observable_of(a), _observable_of(b)
+    comm = obs_a @ obs_b - obs_b @ obs_a
     measured = float(np.linalg.norm(comm))
     expected = 4.0 * float(np.linalg.norm(np.cross(a, b)))
     return {"measured": measured, "expected": expected}

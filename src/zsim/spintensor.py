@@ -7,10 +7,10 @@ components split into two three-vectors,
     s = z x (m xdot)            (rows/columns 1..3)
     d = m (u0 z - z0 u)         (row 0),
 
-stored in matrix layout S[0][i] = d_i, S[2][1] = s_3, S[1][3] = s_2,
-S[3][2] = s_1.  All identities here are exact consequences of the
-constraints; the suites report scaled max-norm residuals so corrupted
-states are detectable.
+stored in the layout of ``minkowski.antisymmetric_tensor``:
+S[0][i] = d_i, S[2][1] = s_3, S[1][3] = s_2, S[3][2] = s_1.  All
+identities here are exact consequences of the constraints; the suites
+report scaled max-norm residuals so corrupted states are detectable.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C, H_STAR, HBAR, MASS, OMEGA0
-from .emfield import FieldModel, field_at, field_tensor, force_at
-from .minkowski import METRIC, Vec4, lower, mdot
+from .emfield import FieldModel, field_tensor, force_at
+from .minkowski import METRIC, Vec4, antisymmetric_parts, lower, mdot
 from .states import PositionState
 
 
@@ -39,20 +39,16 @@ def accel_spin_tensor(u: Vec4, udot: Vec4, mass: float = MASS) -> np.ndarray:
     return (mass / OMEGA0**2) * _wedge(np.asarray(udot), np.asarray(u))
 
 
-def decompose(spin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extract (s, d) three-vectors from the spin tensor matrix."""
-    s = np.array([spin[3, 2], spin[1, 3], spin[2, 1]])
-    d = np.array([spin[0, 1], spin[0, 2], spin[0, 3]])
-    return s, d
-
-
 def spin_vectors_direct(z: Vec4, u: Vec4, mass: float = MASS) -> tuple[np.ndarray, np.ndarray]:
-    """(s, d) computed directly from z and u, bypassing the matrix."""
+    """(d, s) computed directly from z and u, bypassing the matrix.
+
+    Accepts single four-vectors or stacks of shape (N, 4).
+    """
     z = np.asarray(z)
     u = np.asarray(u)
-    s = mass * np.cross(z[1:], u[1:])
-    d = mass * (u[0] * z[1:] - z[0] * u[1:])
-    return s, d
+    d = mass * (u[..., 0:1] * z[..., 1:] - z[..., 0:1] * u[..., 1:])
+    s = mass * np.cross(z[..., 1:], u[..., 1:])
+    return d, s
 
 
 def scalar_invariant(spin: np.ndarray) -> float:
@@ -75,7 +71,7 @@ def triad_residuals(spin: np.ndarray, u: Vec4) -> dict[str, float]:
     right-handed orthonormal set, equivalently d = (xdot x s) / (c tdot),
     s = (d x xdot) / (c tdot) and xdot = (4 c^2 / hbar^2)(s x d) / (c tdot).
     """
-    s, d = decompose(spin)
+    d, s = antisymmetric_parts(spin)
     u = np.asarray(u)
     tdot = u[0] / C
     xdot = u[1:]
@@ -128,7 +124,7 @@ def identity_suite(state: PositionState, mass: float = MASS) -> dict[str, float]
         "s_z": _scaled(spin @ lower(z), -(HBAR / (2.0 * OMEGA0)) * u),
         "s_zdot": _scaled(spin @ lower(zdot), mass * C**2 * z),
     }
-    s, d = decompose(spin)
+    d, s = antisymmetric_parts(spin)
     out["scalar"] = _scaled(scalar_invariant(spin), 0.0)
     out["scalar_vector_form"] = _scaled(
         scalar_invariant(spin), 2.0 * (np.dot(s, s) - np.dot(d, d))
@@ -169,10 +165,10 @@ def interaction_energy(
     (c) the dipole form -(q / m)(B.s + E.d / c) = U_m + U_e with moments
     mu = (q / m) s and eps = (q / (m c)) d.
     """
-    e_vec, b_vec = field_at(model, state.x)
+    e_vec, b_vec = model.eb_at(state.x)
     f = force_at(model, q, state.x, state.u)
     spin = build_spin_tensor(state.z, state.u, mass)
-    s, d = decompose(spin)
+    d, s = antisymmetric_parts(spin)
 
     phi_force = float(mdot(f, state.z))
     f_tensor = field_tensor(e_vec, b_vec)
@@ -222,9 +218,9 @@ def energy_diagnostics(
     v2 = float(np.dot(vel, vel))
     kinetic_error = energy - (mass * C**2 + 0.5 * mass * v2 + 0.5 * phi)
 
-    e_vec, _ = field_at(model, state.x)
+    e_vec, _ = model.eb_at(state.x)
     spin = build_spin_tensor(state.z, state.u, mass)
-    s, _ = decompose(spin)
+    _, s = antisymmetric_parts(spin)
     tdot = state.u[0] / C
     dominant = float(
         -(q / (mass**2 * C**2)) * np.dot(np.cross(e_vec, pi[1:]), s) / tdot
@@ -254,7 +250,7 @@ def angular_momentum(state: PositionState, mass: float = MASS) -> AngularMomentu
     """
     orbital = _wedge(state.x, state.pi)
     spin = build_spin_tensor(state.z, state.u, mass)
-    s, _ = decompose(spin)
+    _, s = antisymmetric_parts(spin)
     total = orbital + spin
     j_vec = np.cross(state.x[1:], state.pi[1:]) - s
     return AngularMomentum(orbital=orbital, spin=spin, total=total, total_vector=j_vec)

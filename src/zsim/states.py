@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .minkowski import Vec4, assert_finite
+from .minkowski import Vec4, antisymmetric_tensor, assert_finite
 
 
 def _as_vec4(a, name: str) -> np.ndarray:
@@ -138,14 +138,7 @@ class Trajectory:
             return PositionState(self.xs[i], self.us[i], self.ys[i], self.pis[i])
         if self.formulation == "spintensor":
             assert self.spins is not None
-            d = self.spins[i, :3]
-            s = self.spins[i, 3:]
-            spin = np.zeros((4, 4))
-            spin[0, 1:] = d
-            spin[1:, 0] = -d
-            spin[1, 2], spin[2, 1] = -s[2], s[2]
-            spin[1, 3], spin[3, 1] = s[1], -s[1]
-            spin[2, 3], spin[3, 2] = -s[0], s[0]
+            spin = antisymmetric_tensor(self.spins[i, :3], self.spins[i, 3:])
             return SpinTensorState(self.xs[i], self.us[i], spin, self.pis[i])
         if self.formulation == "spinor":
             assert self.phis is not None

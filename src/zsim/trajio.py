@@ -74,14 +74,16 @@ def row_table(traj: Trajectory) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def write_csv(traj: Trajectory, path) -> None:
-    names = column_names(traj.formulation)
-    table = row_table(traj)
+def _write_table(path, names: list[str], table: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(names)
         for row in table:
             writer.writerow([repr(float(v)) for v in row])
+
+
+def write_csv(traj: Trajectory, path) -> None:
+    _write_table(path, column_names(traj.formulation), row_table(traj))
 
 
 def write_jsonl(traj: Trajectory, path) -> None:
@@ -106,12 +108,7 @@ def read_csv(path) -> dict[str, np.ndarray]:
 def write_columns_csv(path, named_columns: dict[str, np.ndarray]) -> None:
     """Small helper for column extracts (tau plus requested variables)."""
     names = list(named_columns)
-    table = np.column_stack([named_columns[n] for n in names])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])
+    _write_table(path, names, np.column_stack([named_columns[n] for n in names]))
 
 
 def write_json_report(path, payload: dict) -> None:

@@ -37,7 +37,7 @@ from zsim.dynamics import (
     validate_state,
 )
 from zsim.emfield import FreeField, UniformEB
-from zsim.minkowski import BoostParams, boost_vector, mdot
+from zsim.minkowski import BoostParams, antisymmetric_parts, boost_vector, mdot
 from zsim.scenario import load_scenario
 from zsim.spinor import (
     boost_state,
@@ -58,7 +58,7 @@ from zsim.spinstates import (
     velocity_from_amplitudes,
     velocity_superposition,
 )
-from zsim.spintensor import build_spin_tensor, decompose, identity_suite, interaction_energy
+from zsim.spintensor import build_spin_tensor, identity_suite, interaction_energy
 from zsim.states import PositionState
 from zsim.wavefield import (
     WaveFunction,
@@ -189,13 +189,13 @@ def test_criterion_04_spin_vector_values():
     worst = 0.0
     for theta, phi in ((0.0, 0.0), (np.pi / 2, 0.0), (THETA, PHI), (2.4, -1.3)):
         state = matched_initial_states(theta, phi)["position"]
-        s, d = decompose(build_spin_tensor(state.z, state.u))
+        d, s = antisymmetric_parts(build_spin_tensor(state.z, state.u))
         worst = max(worst, float(np.abs(s - H_STAR * axis_vector(theta, phi)).max()))
         worst = max(worst, abs(float(np.linalg.norm(d)) - H_STAR))
     report("criterion 4 rest spin vectors", worst, 1e-12)
 
     state = matched_initial_states(THETA, PHI, velocity=BOOST)["position"]
-    s, d = decompose(build_spin_tensor(state.z, state.u))
+    d, s = antisymmetric_parts(build_spin_tensor(state.z, state.u))
     tdot = state.u[0] / C
     worst = max(
         abs(float(np.linalg.norm(s)) - H_STAR * tdot),

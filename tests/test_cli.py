@@ -1,13 +1,17 @@
 """Command-line interface: verbs, exit codes, artifact determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import zsim
 from zsim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
@@ -119,7 +123,7 @@ def test_compare_corrupted_momentum_detected(tmp_path, capsys):
     assert "FAIL equivalence" in capsys.readouterr().out
 
 
-def test_compare_corrupted_momentum_detected_with_jobs(tmp_path):
+def test_compare_corrupted_momentum_detected_with_jobs(tmp_path, capsys):
     """The worker pool applies the corruption and --no-validate too."""
     rc = main(
         ["compare", "--scenario", "free-rest", "--no-validate",
@@ -128,6 +132,14 @@ def test_compare_corrupted_momentum_detected_with_jobs(tmp_path):
     assert rc == EXIT_FAIL
     report = json.loads((tmp_path / "free-rest-compare.json").read_text())
     assert report["pass"] is False
+    # with validation on, the worker's ConstraintViolationError crosses the pool
+    capsys.readouterr()
+    rc = main(
+        ["compare", "--scenario", "free-rest", "--corrupt-momentum", "0.01",
+         "--jobs", "2", "--out", str(tmp_path / "validated")]
+    )
+    assert rc == EXIT_FAIL
+    assert capsys.readouterr().err.count("error: constraint validation failed") == 1
 
 
 def test_compare_jobs_report_byte_identical(tmp_path):
@@ -147,6 +159,120 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+    code = "import sys, zsim.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
+
+
+def _main_outcome(argv) -> tuple[int, str]:
+    """Exit code and stderr of main(argv), counting argparse exits too."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+def _error_lines(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if "error:" in line]
+
+
+_BAD_INI = {
+    "superluminal": "[initial]\nvelocity = 1.5 0 0\n",
+    "nan-field": "[field]\nvariant = uniform\nb0 = nan 0 0\n",
+    "short-run": "[run]\nperiods = 0.001\n",
+    "sparse-record": "[run]\nperiods = 1\nrecord_every = 5000\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--scenario", "INI:superluminal"],
+        ["run", "--scenario", "INI:nan-field"],
+        ["run", "--scenario", "INI:short-run"],
+        ["run", "--scenario", "INI:sparse-record"],
+        ["sample", "--theta", "1", "--count", "0"],
+        ["ensemble", "--n", "0"],
+        ["ensemble", "--bins", "0"],
+        ["ensemble", "--box", "inf"],
+        ["ensemble", "--periods", "nan"],
+        ["ensemble", "--steps-per-period", "0"],
+        ["ensemble", "--alpha", "-0.01"],
+        ["ensemble", "--velocity", "1 1 1"],
+        ["compare", "--scenario", "free-rest", "--jobs", "0"],
+    ],
+)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, argv):
+    argv = list(argv)
+    if argv[2].startswith("INI:"):
+        path = tmp_path / "bad.ini"
+        path.write_text(_BAD_INI[argv[2][4:]])
+        argv[2] = str(path)
+    rc, stderr = _main_outcome(argv + ["--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert len(_error_lines(stderr)) == 1, stderr
+    assert {p.name for p in tmp_path.iterdir()} <= {"bad.ini"}, "a rejected run writes nothing"
+
+
+_angle = st.sampled_from(["0", "pi", "pi/3", "-pi/2", "2*pi/3"]) | st.floats(-10, 10).map(repr)
+_field_value = (st.floats(-1e-2, 1e-2) | st.floats(allow_nan=False)).map(repr)
+_vector3 = st.lists(_field_value, min_size=3, max_size=3).map(" ".join)
+# one INI value replaced by a malformed, non-finite or out-of-range one; finite
+# values stay within [-1, 1] so that a replaced run length keeps runs short
+_bad_value = (st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e999", "pi/0", "abc",
+                               "nan 0 0", "0 inf 0", "1 1 1", "2 0 0 0", ""])
+              | st.floats(-1.0, 1.0).map(repr))
+_KEYS = [("field", "e0"), ("field", "b0"), ("field", "z"), ("initial", "theta"),
+         ("initial", "phi"), ("initial", "phase"), ("initial", "velocity"),
+         ("initial", "origin"), ("run", "periods"), ("run", "steps_per_period"),
+         ("run", "record_every"), ("run", "charge"), ("tolerances", "drift")]
+
+
+@given(
+    verb=st.sampled_from(["run", "verify", "compare"]),
+    formulation=st.sampled_from(["position", "spintensor", "spinor", "all"]),
+    variant=st.sampled_from(["free", "uniform", "coulomb"]),
+    e0=_vector3,
+    b0=_vector3,
+    z=_field_value,
+    angles=st.lists(_angle, min_size=3, max_size=3),
+    velocity=st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3).map(
+        lambda v: " ".join(map(repr, v))),
+    periods=st.floats(0.02, 0.05),
+    steps_per_period=st.integers(50, 200),
+    record_every=st.integers(1, 3),
+    override=st.none() | st.tuples(st.sampled_from(_KEYS), _bad_value),
+)
+@settings(max_examples=100, deadline=None)
+def test_fuzz_main_never_tracebacks(verb, formulation, variant, e0, b0, z, angles, velocity,
+                                    periods, steps_per_period, record_every, override):
+    """Any INI value runs, fails a gate (1) or is a usage error (2) with one line."""
+    sections = {
+        "scenario": {"name": "fuzz", "formulation": formulation},
+        "field": {"variant": variant, "e0": e0, "b0": b0, "z": z, "center": "0 0 0"},
+        "initial": {"theta": angles[0], "phi": angles[1], "phase": angles[2],
+                    "velocity": velocity, "origin": "0 3 0 0"},
+        "run": {"periods": repr(periods), "steps_per_period": str(steps_per_period),
+                "record_every": str(record_every)},
+        "tolerances": {},
+    }
+    if override is not None:
+        (section, key), value = override
+        sections[section][key] = value
+    ini = "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items())
+                  for name, body in sections.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(ini)
+        rc, stderr = _main_outcome([verb, "--scenario", str(path), "--out", tmp])
+    assert rc in (EXIT_OK, EXIT_FAIL, EXIT_USAGE)
+    assert "Traceback" not in stderr
+    if rc == EXIT_USAGE:
+        assert len(_error_lines(stderr)) == 1, stderr
 
 
 def test_compare_needs_multiple_formulations(tmp_path):

@@ -30,7 +30,7 @@ from zsim.dynamics import (
     velocity_of,
 )
 from zsim.emfield import FreeField, UniformEB
-from zsim.minkowski import mdot
+from zsim.minkowski import antisymmetric_parts, antisymmetric_tensor, mdot
 from zsim.states import PositionState, SpinorState, SpinTensorState
 
 theta_st = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
@@ -50,6 +50,14 @@ def test_pack_unpack_round_trip():
         assert packed.shape[0] == kernels.STATE_WIDTH[name]
         back = unpack_state(name, packed)
         assert np.allclose(pack_state(back), packed, atol=0.0)
+    # the layout pair on a stack: (N, 6) parts -> (N, 4, 4) tensors -> parts
+    parts = np.random.default_rng(3).normal(size=(5, 6))
+    tensors = antisymmetric_tensor(parts[:, :3], parts[:, 3:])
+    assert tensors.shape == (5, 4, 4)
+    assert np.array_equal(tensors, -np.swapaxes(tensors, 1, 2))
+    for row, tensor in zip(parts, tensors):
+        assert np.array_equal(tensor, antisymmetric_tensor(row[:3], row[3:]))
+    assert np.array_equal(np.concatenate(antisymmetric_parts(tensors), axis=1), parts)
 
 
 def test_kernel_rhs_matches_reference_derivatives():
@@ -220,6 +228,10 @@ def test_integrate_rejects_bad_arguments():
         integrate(pos, FreeField(), T0 / 100, 101, record_every=10)
     with pytest.raises(ValueError):
         integrate(pos, FreeField(), -0.1, 100)
+    with pytest.raises(ValueError, match="at least 1"):
+        integrate(pos, FreeField(), T0 / 100, 100, record_every=0)
+    with pytest.raises(ValueError, match="at least 1"):
+        integrate(pos, FreeField(), T0 / 100, 0)
     bad_u = pos.u.copy()
     bad_u[0] *= 1.01
     with pytest.raises(ConstraintViolationError):

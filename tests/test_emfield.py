@@ -14,7 +14,7 @@ from zsim.emfield import (
     lorentz_force,
     lorentz_force_tensor,
 )
-from zsim.minkowski import fvec, mdot
+from zsim.minkowski import antisymmetric_tensor, fvec, mdot
 
 component = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -64,8 +64,12 @@ def test_force_is_metric_orthogonal_to_velocity(e, b, u):
 
 
 def test_field_tensor_antisymmetry():
-    f = field_tensor(np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.0, 4.0]))
+    e, b = np.array([1.0, -2.0, 0.5]), np.array([0.3, 0.0, 4.0])
+    f = field_tensor(e, b)
     assert np.array_equal(f, -f.T)
+    # F has the spin-tensor layout with (d, s) = (-E, B)
+    assert np.array_equal(f, antisymmetric_tensor(-e, b))
+    assert f[0, 1] == -e[0] and f[1, 0] == e[0] and f[3, 2] == b[0] and f[2, 1] == b[2]
 
 
 def test_free_field_is_zero():

@@ -163,6 +163,19 @@ u = 1 1 0 0
         ("[run]\nsteps_per_period = zero\n", "bad numeric"),
         ("[initial]\nvelocity = 1 2\n", "components"),
         ("[initial]\ntheta = about-pi\n", "cannot parse angle"),
+        ("[initial]\ntheta = nan\n", "angle must be finite"),
+        ("[initial]\nphi = 2*pi/0\n", "division by zero"),
+        ("[initial]\nvelocity = 1.5 0 0\n", "slower than light"),
+        ("[initial]\nvelocity = 0.6 0.8 0\n", "slower than light"),
+        ("[field]\nvariant = uniform\nb0 = nan 0 0\n", "non-finite"),
+        ("[field]\ne0 = 0 -inf 0\n", "non-finite"),
+        ("[field]\nz = nan\n", "field.z must be finite"),
+        ("[run]\nperiods = 0.001\n", "no steps"),
+        ("[run]\nperiods = 1\nrecord_every = 5000\n", "no steps"),
+        ("[run]\nperiods = nan\n", "run.periods must be finite"),
+        ("[run]\nperiods = inf\n", "run.periods must be finite"),
+        ("[run]\ncharge = nan\n", "run.charge must be finite"),
+        ("[tolerances]\ndrift = nan\n", "tolerances.drift must be finite"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, body, message):

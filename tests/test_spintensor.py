@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from zsim.constants import H_STAR, HBAR, MASS, OMEGA0, Q_ELECTRON, T0
 from zsim.dynamics import free_motion, matched_initial_states
 from zsim.emfield import CoulombField, FreeField, UniformEB, force_at
+from zsim.minkowski import antisymmetric_parts
 from zsim.spinstates import axis_vector
 from zsim.spintensor import (
     accel_spin_tensor,
     angular_momentum,
     build_spin_tensor,
-    decompose,
     energy_diagnostics,
     identity_suite,
     interaction_energy,
@@ -33,7 +33,7 @@ def test_rest_spin_up_components():
     state = matched_initial_states(0.0)["position"]
     assert np.allclose(state.u, [1.0, 1.0, 0.0, 0.0], atol=1e-15)
     assert np.allclose(state.z, [0.0, 0.0, -0.5, 0.0], atol=1e-15)
-    s, d = decompose(build_spin_tensor(state.z, state.u))
+    d, s = antisymmetric_parts(build_spin_tensor(state.z, state.u))
     assert np.allclose(s, [0.0, 0.0, 0.5], atol=1e-15), f"s = {s}"
     assert np.allclose(d, [0.0, -0.5, 0.0], atol=1e-15), f"d = {d}"
 
@@ -42,7 +42,7 @@ def test_rest_spin_vector_follows_axis():
     """At rest the spin three-vector is (hbar / 2) times the chosen axis."""
     theta, phi = np.pi / 3, 0.4
     state = matched_initial_states(theta, phi)["position"]
-    s, _ = decompose(build_spin_tensor(state.z, state.u))
+    _, s = antisymmetric_parts(build_spin_tensor(state.z, state.u))
     assert np.allclose(s, H_STAR * axis_vector(theta, phi), atol=1e-14)
     assert np.linalg.norm(s) == pytest.approx(H_STAR, abs=1e-14)
 
@@ -52,10 +52,17 @@ def test_decompose_matches_direct_vectors():
         "position"
     ]
     spin = build_spin_tensor(state.z, state.u)
-    s_m, d_m = decompose(spin)
-    s_d, d_d = spin_vectors_direct(state.z, state.u)
+    d_m, s_m = antisymmetric_parts(spin)
+    d_d, s_d = spin_vectors_direct(state.z, state.u)
     assert np.allclose(s_m, s_d, atol=1e-15)
     assert np.allclose(d_m, d_d, atol=1e-15)
+    # a stack of states gives, row by row, the bits of the single-state call
+    zs = np.stack([state.z, state.u - state.pi, -state.z])
+    us = np.stack([state.u, state.u, state.pi])
+    d_rows, s_rows = spin_vectors_direct(zs, us)
+    for z, u, d_row, s_row in zip(zs, us, d_rows, s_rows):
+        d_one, s_one = spin_vectors_direct(z, u)
+        assert np.array_equal(d_row, d_one) and np.array_equal(s_row, s_one)
 
 
 def test_acceleration_form_equals_wedge_form():
@@ -98,7 +105,7 @@ def test_scalar_invariant_forms():
         "position"
     ]
     spin = build_spin_tensor(state.z, state.u)
-    s, d = decompose(spin)
+    d, s = antisymmetric_parts(spin)
     assert scalar_invariant(spin) == pytest.approx(0.0, abs=1e-13)
     assert scalar_invariant(spin) == pytest.approx(
         2.0 * (np.dot(s, s) - np.dot(d, d)), abs=1e-13
@@ -198,7 +205,7 @@ def test_angular_momentum_vector_form():
         "position"
     ]
     am = angular_momentum(state)
-    s, _ = decompose(am.spin)
+    _, s = antisymmetric_parts(am.spin)
     want = np.cross(state.x[1:], state.pi[1:]) - s
     assert np.allclose(am.total_vector, want, atol=1e-15)
 
@@ -216,7 +223,7 @@ def test_spin_magnitude_scales_with_tdot():
     """|s| = (hbar / 2) tdot grows with the Lorentz factor of the drift."""
     v = np.array([0.6, 0.0, 0.0])
     state = matched_initial_states(np.pi / 2, 0.0, velocity=v)["position"]
-    s, d = decompose(build_spin_tensor(state.z, state.u))
+    d, s = antisymmetric_parts(build_spin_tensor(state.z, state.u))
     tdot = state.u[0]
     assert np.linalg.norm(s) == pytest.approx(H_STAR * tdot, rel=1e-12)
     assert np.linalg.norm(d) == pytest.approx(H_STAR * tdot, rel=1e-12)
