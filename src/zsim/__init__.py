@@ -35,7 +35,6 @@ from .dynamics import (
     constraint_residuals,
     free_motion,
     integrate,
-    integrate_adaptive,
     map_states,
     matched_initial_states,
     oracle_errors,
@@ -97,7 +96,6 @@ __all__ = [
     "hamiltonian",
     "identity_suite",
     "integrate",
-    "integrate_adaptive",
     "interaction_energy",
     "malus_probability",
     "map_states",

@@ -88,6 +88,15 @@ def _run_one(sc: Scenario, formulation: str, corrupt_momentum: float = 0.0,
     return traj
 
 
+def _tolerance(sc: Scenario, key: str, scale: float) -> float:
+    """A scenario tolerance times --tol-scale; an overflow is a usage error."""
+    tol = sc.tolerances[key] * scale
+    if not math.isfinite(tol):
+        raise ScenarioError(f"tolerances.{key} * --tol-scale overflows: "
+                            f"{sc.tolerances[key]!r} * {scale!r}")
+    return tol
+
+
 def _drift_value(traj: Trajectory) -> float:
     return max(abs(v) for v in traj.max_residuals().values())
 
@@ -95,6 +104,7 @@ def _drift_value(traj: Trajectory) -> float:
 def cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     out = _out_dir(args)
+    drift_tol = _tolerance(sc, "drift", args.tol_scale)
     status = EXIT_OK
     for formulation in ([args.formulation] if args.formulation else _scenario_formulations(sc)):
         traj = _run_one(sc, formulation)
@@ -111,7 +121,6 @@ def cmd_run(args) -> int:
             "columns": trajio.column_names(formulation),
             "trajectory_csv": f"{stem}.csv",
         }
-        drift_tol = sc.tolerances["drift"] * args.tol_scale
         if sc.field_variant == "free":
             summary["oracle_error"] = dynamics.oracle_errors(
                 traj, sc.initial_state("position")
@@ -160,15 +169,15 @@ def cmd_verify(args) -> int:
             traj = _run_one(sc, formulation)
             trajs[formulation] = traj
             checks.append((f"drift[{formulation}]", _drift_value(traj),
-                           sc.tolerances["drift"] * scale))
+                           _tolerance(sc, "drift", scale)))
             if sc.field_variant == "free":
                 err = dynamics.oracle_errors(traj, sc.initial_state("position"))
                 checks.append((f"oracle[{formulation}]", err["overall"],
-                               sc.tolerances["oracle"] * scale))
+                               _tolerance(sc, "oracle", scale)))
         if len(trajs) > 1:
             report = dynamics.compare_trajectories(trajs)
             checks.append(("equivalence", report.overall,
-                           sc.tolerances["compare"] * scale))
+                           _tolerance(sc, "compare", scale)))
     failed = False
     for name, value, tol in checks:
         ok = value <= tol
@@ -202,7 +211,7 @@ def cmd_compare(args) -> int:
         trajs = {f: _run_one(sc, f, args.corrupt_momentum, validate) for f in formulations}
     _timing(f"compare {sc.name}: {time.perf_counter() - t0:.2f}s")
     report = dynamics.compare_trajectories(trajs)
-    tol = sc.tolerances["compare"] * args.tol_scale
+    tol = _tolerance(sc, "compare", args.tol_scale)
     payload = {
         "scenario": sc.name,
         "field": sc.field_variant,
@@ -311,8 +320,8 @@ def cmd_wave(args) -> int:
             f"--axes needs two distinct names from {list(_EVENT_AXES)}, "
             f"got {args.axes!r}"
         )
-    if args.points < 2 or args.extent <= 0.0:
-        raise ScenarioError("--points must be >= 2 and --extent positive")
+    if args.points < 2:
+        raise ScenarioError("--points must be >= 2")
     grid = np.linspace(-args.extent / 2.0, args.extent / 2.0, args.points)
     ga, gb = np.meshgrid(grid, grid, indexing="ij")
     events = np.zeros((args.points * args.points, 4))
@@ -330,11 +339,13 @@ def cmd_wave(args) -> int:
     return EXIT_OK
 
 
-def _positive(kind):
+def _finite(kind, positive: bool = True):
+    """argparse converter that rejects NaN, infinities and, if ``positive``, x <= 0."""
     def convert(text: str):
         value = kind(text)
-        if not (value > 0 and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"must be a positive finite {kind.__name__}, "
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            sign = "positive " if positive else ""
+            raise argparse.ArgumentTypeError(f"must be a {sign}finite {kind.__name__}, "
                                              f"got {text!r}")
         return value
 
@@ -356,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--scenario", required=scenario_required,
                            help="preset name or INI file path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol-scale", type=float, default=1.0,
+        p.add_argument("--tol-scale", type=_finite(float), default=1.0,
                        help="multiply all tolerances")
 
     p_run = sub.add_parser("run", help="integrate and export a trajectory")
@@ -374,11 +385,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="equivalence of the formulations")
     common(p_cmp)
-    p_cmp.add_argument("--jobs", type=_positive(int), default=1,
+    p_cmp.add_argument("--jobs", type=_finite(int), default=1,
                        help="integrate formulations in parallel processes")
     p_cmp.add_argument("--no-validate", action="store_true",
                        help="skip the initial-state constraint validator")
-    p_cmp.add_argument("--corrupt-momentum", type=float, default=0.0,
+    p_cmp.add_argument("--corrupt-momentum", type=_finite(float, positive=False), default=0.0,
                        help="scale the position-formulation momentum by 1+x "
                             "(negative control; use with --no-validate)")
     p_cmp.set_defaults(func=cmd_compare)
@@ -395,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--phi", default="0")
     p_sample.add_argument("--device-theta", default="0")
     p_sample.add_argument("--device-phi", default="0")
-    p_sample.add_argument("--count", type=_positive(int), default=100_000)
+    p_sample.add_argument("--count", type=_finite(int), default=100_000)
     p_sample.add_argument("--seed", type=int, default=0)
     p_sample.add_argument("--tag", default="spin", help="artifact name suffix")
     p_sample.add_argument("--out", default=None)
@@ -403,13 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="density uniformity transport check")
     p_ens.add_argument("--flow", choices=["free", "corrupted"], default="free")
-    p_ens.add_argument("--n", type=_positive(int), default=100_000)
-    p_ens.add_argument("--periods", type=_positive(float), default=10.0)
+    p_ens.add_argument("--n", type=_finite(int), default=100_000)
+    p_ens.add_argument("--periods", type=_finite(float), default=10.0)
     p_ens.add_argument("--seed", type=int, default=0)
-    p_ens.add_argument("--bins", type=_positive(int), default=16)
-    p_ens.add_argument("--box", type=_positive(float), default=2.0)
-    p_ens.add_argument("--alpha", type=_positive(float), default=0.01)
-    p_ens.add_argument("--steps-per-period", type=_positive(int), default=50)
+    p_ens.add_argument("--bins", type=_finite(int), default=16)
+    p_ens.add_argument("--box", type=_finite(float), default=2.0)
+    p_ens.add_argument("--alpha", type=_finite(float), default=0.01)
+    p_ens.add_argument("--steps-per-period", type=_finite(int), default=50)
     p_ens.add_argument("--velocity", default="0.7 0 0")
     p_ens.add_argument("--theta", default="0")
     p_ens.add_argument("--phi", default="0")
@@ -422,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="two event coordinates spanning the grid")
     p_wave.add_argument("--points", type=int, default=41,
                         help="grid points per axis")
-    p_wave.add_argument("--extent", type=float, default=8.0,
+    p_wave.add_argument("--extent", type=_finite(float), default=8.0,
                         help="grid side length, centered on the origin")
     p_wave.set_defaults(func=cmd_wave)
     return parser

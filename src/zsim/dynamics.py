@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .constants import C, HBAR, MASS, OMEGA0, Q_ELECTRON, R0
-from .emfield import CoulombField, FieldModel, FreeField, UniformEB, force_at
+from .emfield import CoulombField, FieldModel, FreeField, UniformEB, force_at, lorentz_force
 from .minkowski import (
     BoostParams,
     Vec4,
@@ -38,14 +38,15 @@ from .minkowski import (
     antisymmetric_tensor,
     boost_vector,
     lower,
+    mdot,
+    wedge,
 )
 from .spinor import (
-    SPIN_OP,
-    GAMMA0,
     boost_state,
     evolve_amplitudes,
     spin_tensor_observable,
     state_derivative,
+    tdot_of,
     velocity_observable,
 )
 from .spinstates import spin_amplitudes
@@ -122,14 +123,18 @@ def deriv_spinor(state: SpinorState, model: FieldModel, q: float = Q_ELECTRON) -
 # Constraint residuals and validation.
 
 
+def _z_of(spin: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """z = -S pi / (m c)^2 for a spin tensor (..., 4, 4) and momentum (..., 4)."""
+    return -(spin @ lower(pi)[..., None])[..., 0] / (MASS * C) ** 2
+
+
 def local_vector(state: DynState) -> Vec4:
     """Spin-motion vector z for any formulation."""
     if isinstance(state, PositionState):
         return state.z
     if isinstance(state, SpinTensorState):
-        return -(state.spin @ lower(state.pi)) / (MASS * C) ** 2
-    spin = spin_tensor_observable(state.phi)
-    return -(spin @ lower(state.pi)) / (MASS * C) ** 2
+        return _z_of(state.spin, state.pi)
+    return _z_of(spin_tensor_observable(state.phi), state.pi)
 
 
 def velocity_of(state: DynState) -> Vec4:
@@ -147,8 +152,7 @@ def constraint_residuals(state: DynState) -> dict[str, float]:
     * c3 = pi.u / m - c^2
     * g  = z.pi
     """
-    rows = [v[None, :] for v in (velocity_of(state), state.pi, local_vector(state))]
-    return {k: float(v[0]) for k, v in _residual_arrays(*rows).items()}
+    return _residual_arrays(velocity_of(state), state.pi, local_vector(state))
 
 
 def validate_state(state: DynState, tol: float = 1e-10) -> None:
@@ -156,7 +160,7 @@ def validate_state(state: DynState, tol: float = 1e-10) -> None:
     res = constraint_residuals(state)
     failures = [(k, v) for k, v in res.items() if abs(v) > tol]
     if isinstance(state, SpinorState):
-        tdot = float(np.real(state.phi.conj() @ state.phi))
+        tdot = tdot_of(state)
         if tdot <= 0.0:
             failures.append(("tdot_positive", tdot))
     if failures:
@@ -231,33 +235,13 @@ def unpack_state(formulation: str, packed: np.ndarray) -> DynState:
 # Vectorized per-sample diagnostics.
 
 
-def _mdot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[:, 0] * b[:, 0] - np.sum(a[:, 1:] * b[:, 1:], axis=1)
-
-
-def _spinor_spin_parts(phis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (d, s) bilinears for stacked amplitudes of shape (N, 4)."""
-    bar = phis.conj() @ GAMMA0
-    def comp(mu, nu):
-        return np.real(np.einsum("ni,ij,nj->n", bar, SPIN_OP[mu][nu], phis))
-    d = np.stack([comp(0, 1), comp(0, 2), comp(0, 3)], axis=1)
-    s = np.stack([comp(3, 2), comp(1, 3), comp(2, 1)], axis=1)
-    return d, s
-
-
-def _zs_from_parts(ds: np.ndarray, ss: np.ndarray, pis: np.ndarray) -> np.ndarray:
-    zs = np.empty((ds.shape[0], 4))
-    zs[:, 0] = np.sum(ds * pis[:, 1:], axis=1)
-    zs[:, 1:] = ds * pis[:, 0:1] + np.cross(ss, pis[:, 1:])
-    return zs / (MASS * C) ** 2
-
-
-def _residual_arrays(us: np.ndarray, pis: np.ndarray, zs: np.ndarray) -> dict[str, np.ndarray]:
+def _residual_arrays(us: np.ndarray, pis: np.ndarray, zs: np.ndarray) -> dict:
+    """Constraint residuals of stacked (..., 4) vectors; floats for single ones."""
     return {
-        "c1": _mdot_rows(us, us),
-        "c2": _mdot_rows(zs, zs) + R0**2,
-        "c3": _mdot_rows(pis, us) / MASS - C**2,
-        "g": _mdot_rows(zs, pis),
+        "c1": mdot(us, us),
+        "c2": mdot(zs, zs) + R0**2,
+        "c3": mdot(pis, us) / MASS - C**2,
+        "g": mdot(zs, pis),
     }
 
 
@@ -281,7 +265,8 @@ def integrate(
     ``n_steps`` must be a positive multiple of ``record_every`` >= 1.  With
     ``validate=True`` (default) the initial state must pass the constraint
     validator; integration never projects constraints afterwards.
-    Non-finite states abort with IntegrationDivergedError.
+    Non-finite states, or finite states with non-finite constraint
+    residuals, abort with IntegrationDivergedError.
     """
     if record_every < 1 or n_steps < 1:
         raise ValueError("n_steps and record_every must be at least 1")
@@ -302,7 +287,12 @@ def integrate(
     if status != -1:
         raise IntegrationDivergedError(tau0 + status * record_every * dt)
     taus = tau0 + dt * record_every * np.arange(n_rec)
-    return _trajectory_from_packed(formulation, taus, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = _trajectory_from_packed(formulation, taus, out)
+    finite = np.logical_and.reduce([np.isfinite(v) for v in traj.residuals.values()])
+    if not finite.all():
+        raise IntegrationDivergedError(float(taus[np.argmin(finite)]))
+    return traj
 
 
 def _trajectory_from_packed(formulation: str, taus: np.ndarray, out: np.ndarray) -> Trajectory:
@@ -313,71 +303,15 @@ def _trajectory_from_packed(formulation: str, taus: np.ndarray, out: np.ndarray)
         return Trajectory(formulation, taus, xs, us, pis, ys=ys, residuals=res)
     if formulation == "spintensor":
         xs, us, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12]
-        ds, ss = out[:, 12:15], out[:, 15:18]
-        zs = _zs_from_parts(ds, ss, pis)
+        spins = out[:, 12:18]
+        zs = _z_of(antisymmetric_tensor(spins[:, :3], spins[:, 3:]), pis)
         res = _residual_arrays(us, pis, zs)
-        spins = np.concatenate([ds, ss], axis=1)
         return Trajectory(formulation, taus, xs, us, pis, spins=spins, residuals=res)
     xs, pis, phis = out[:, 0:4].real, out[:, 4:8].real, out[:, 8:12]
     us = velocity_observable(phis)
-    ds, ss = _spinor_spin_parts(phis)
-    zs = _zs_from_parts(ds, ss, pis)
+    zs = _z_of(spin_tensor_observable(phis), pis)
     res = _residual_arrays(us, pis, zs)
     return Trajectory(formulation, taus, xs, us, pis, phis=phis, residuals=res)
-
-
-def integrate_adaptive(
-    state: DynState,
-    model: FieldModel,
-    tau_end: float,
-    q: float = Q_ELECTRON,
-    tol: float = 1e-10,
-    dt0: float = 1e-3,
-    validate: bool = True,
-) -> Trajectory:
-    """RK4 with step-doubling error control (optional alternative driver).
-
-    The error estimate is the max-norm difference between one dt step and
-    two dt/2 steps; accepted steps keep the halved-step result.  Sampling
-    is therefore non-uniform.
-    """
-    if validate:
-        validate_state(state)
-    formulation = formulation_of(state)
-    fcode, fparams = _field_code(model)
-    rhs = kernels.RHS[formulation]
-    s = pack_state(state).astype(kernels.STATE_DTYPE[formulation])
-
-    def step(vec, h):
-        k1 = np.empty_like(vec)
-        k2 = np.empty_like(vec)
-        k3 = np.empty_like(vec)
-        k4 = np.empty_like(vec)
-        rhs(vec, fcode, fparams, q, k1)
-        rhs(vec + 0.5 * h * k1, fcode, fparams, q, k2)
-        rhs(vec + 0.5 * h * k2, fcode, fparams, q, k3)
-        rhs(vec + h * k3, fcode, fparams, q, k4)
-        return vec + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    tau = 0.0
-    dt = dt0
-    taus = [0.0]
-    rows = [s.copy()]
-    while tau < tau_end:
-        dt = min(dt, tau_end - tau)
-        full = step(s, dt)
-        half = step(step(s, 0.5 * dt), 0.5 * dt)
-        err = float(np.abs(full - half).max())
-        if err <= tol or dt <= 1e-12:
-            tau += dt
-            s = half
-            taus.append(tau)
-            rows.append(s.copy())
-            if not np.all(np.isfinite(np.abs(s))):
-                raise IntegrationDivergedError(tau)
-        factor = 0.9 * (tol / err) ** 0.2 if err > 0.0 else 5.0
-        dt *= min(5.0, max(0.2, factor))
-    return _trajectory_from_packed(formulation, np.array(taus), np.vstack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +417,7 @@ def spin_part_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
         return traj.spins[:, 0:3], traj.spins[:, 3:6]
     if traj.formulation == "spinor":
         assert traj.phis is not None
-        return _spinor_spin_parts(traj.phis)
+        return antisymmetric_parts(spin_tensor_observable(traj.phis))
     assert traj.ys is not None
     return spin_vectors_direct(traj.xs - traj.ys, traj.us)
 
@@ -568,25 +502,17 @@ def fourth_order_residual(
     x2 = (xs[1:-3] - 2 * xs[2:-2] + xs[3:-1]) / dt**2
     x1 = (xs[3:-1] - xs[1:-3]) / (2 * dt)
     inner = slice(2, len(traj) - 2)
-    es = np.empty((x1.shape[0], 3))
-    bs = np.empty((x1.shape[0], 3))
-    for k, xrow in enumerate(xs[inner]):
-        e, b = model.eb_at(xrow)
-        es[k] = e
-        bs[k] = b
-    force = np.empty_like(x1)
-    force[:, 0] = np.sum(es * x1[:, 1:], axis=1)
-    force[:, 1:] = x1[:, 0:1] * es + np.cross(x1[:, 1:], bs)
-    resid = x4 + OMEGA0**2 * x2 - (q * OMEGA0**2 / MASS) * force
+    es, bs = map(np.array, zip(*(model.eb_at(xrow) for xrow in xs[inner])))
+    resid = x4 + OMEGA0**2 * x2 - (OMEGA0**2 / MASS) * lorentz_force(q, es, bs, x1)
     resid_norm = np.abs(resid).max(axis=1)
 
     us = traj.us
     udot = (us[2:] - us[:-2]) / (2 * dt)
     pot = np.stack([model.potential_at(xrow) for xrow in xs[1:-1]])
     lag = (
-        0.5 * MASS * _mdot_rows(us[1:-1], us[1:-1])
-        + q * _mdot_rows(pot, us[1:-1])
-        - (MASS / (2.0 * OMEGA0**2)) * _mdot_rows(udot, udot)
+        0.5 * MASS * mdot(us[1:-1], us[1:-1])
+        + q * mdot(pot, us[1:-1])
+        - (MASS / (2.0 * OMEGA0**2)) * mdot(udot, udot)
     )
     return {
         "residual": resid_norm,
@@ -603,9 +529,9 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
     max constraint residuals and the energy-equation residual
     (1/m) pi.pi - m c^2 - f.z.
     """
-    ds, ss = spin_part_arrays(traj)
+    spins = antisymmetric_tensor(*spin_part_arrays(traj))
     xs, us, pis = traj.xs, traj.us, traj.pis
-    js = _wedge_rows(xs, pis) + antisymmetric_tensor(ds, ss)
+    js = wedge(xs, pis) + spins
     fs = np.stack([force_at(model, q, x, u) for x, u in zip(xs, us)])
 
     out = dict(traj.max_residuals())
@@ -614,7 +540,7 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
         out["pi_drift"] = float(np.abs(pis - pis[0]).max())
     else:
         jdot = (js[2:] - js[:-2]) / (2 * traj.dt)
-        torque = _wedge_rows(xs[1:-1], fs[1:-1])
+        torque = wedge(xs[1:-1], fs[1:-1])
         out["torque_residual"] = float(np.abs(jdot - torque).max())
 
     # Energy equation along the run.
@@ -622,12 +548,8 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
         assert traj.ys is not None
         zs = xs - traj.ys
     else:
-        zs = _zs_from_parts(ds, ss, pis)
+        zs = _z_of(spins, pis)
     out["energy_residual"] = float(
-        np.abs(_mdot_rows(pis, pis) / MASS - MASS * C**2 - _mdot_rows(fs, zs)).max()
+        np.abs(mdot(pis, pis) / MASS - MASS * C**2 - mdot(fs, zs)).max()
     )
     return out
-
-
-def _wedge_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,nj->nij", a, b) - np.einsum("ni,nj->nij", b, a)

@@ -105,13 +105,16 @@ def lorentz_force(q: float, e: np.ndarray, b: np.ndarray, u: Vec4) -> Vec4:
     """Four-force on charge q moving with four-velocity u (c = 1).
 
     Components are (q E . xdot, q (tdot E + xdot x B)) with tdot = u[0]
-    and xdot the spatial part of u.
+    and xdot the spatial part of u.  Broadcasts over leading axes: e and b
+    of shape (..., 3) with u of shape (..., 4).
     """
     u = np.asarray(u, dtype=np.float64)
-    xdot = u[1:]
-    f = np.empty(4)
-    f[0] = q * np.dot(e, xdot)
-    f[1:] = q * (u[0] * np.asarray(e) + np.cross(xdot, np.asarray(b)))
+    e = np.asarray(e, dtype=np.float64)
+    xdot = u[..., 1:]
+    space = q * (u[..., 0:1] * e + np.cross(xdot, b))
+    f = np.empty(space.shape[:-1] + (4,))
+    f[..., 0] = q * np.sum(e * xdot, axis=-1)
+    f[..., 1:] = space
     return f
 
 

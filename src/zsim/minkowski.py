@@ -40,13 +40,22 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
 
     Broadcasts over leading axes for stacked inputs of shape (..., 4).
     """
-    out = np.sum(np.asarray(a) * np.asarray(b) * _METRIC_SIGNS, axis=-1)
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
 def lower(a: np.ndarray) -> np.ndarray:
     """Lower the index: (a0, a1, a2, a3) -> (a0, -a1, -a2, -a3)."""
     return np.asarray(a) * _METRIC_SIGNS
+
+
+def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Antisymmetric product a^mu b^nu - b^mu a^nu, shape (..., 4, 4)."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
 
 
 def spatial(a: np.ndarray) -> np.ndarray:

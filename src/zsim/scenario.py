@@ -203,6 +203,12 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         raise ScenarioError(f"bad numeric value: {exc}") from None
     if steps_per_period <= 0 or record_every <= 0 or periods <= 0:
         raise ScenarioError("run parameters must be positive")
+    # tau = k * dt is exact only while the step index k fits a float's mantissa
+    if steps_per_period > 2**53 or periods * steps_per_period > 2**53:
+        raise ScenarioError(
+            f"run too long: periods * steps_per_period = {periods!r} * {steps_per_period!r} "
+            "exceeds 2**53 steps"
+        )
     sc = Scenario(
         name=cp.get("scenario", "name"),
         formulation=formulation,

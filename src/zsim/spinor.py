@@ -130,15 +130,20 @@ def velocity_observable(state) -> Vec4:
 
 
 def spin_tensor_observable(state) -> np.ndarray:
-    """Spin tensor S^{mu nu} = phibar S-op^{mu nu} phi (antisymmetric, real)."""
+    """Spin tensor S^{mu nu} = phibar S-op^{mu nu} phi (antisymmetric, real).
+
+    Accepts a single amplitude vector or a stack of shape (N, 4) and then
+    returns shape (N, 4, 4).
+    """
     phi = _amps(state)
-    bar = adjoint_row(phi)
-    s = np.zeros((4, 4))
+    bar = adjoint_row(phi)[..., None, :]
+    col = phi[..., :, None]
+    s = np.zeros(phi.shape[:-1] + (4, 4))
     for mu in range(4):
         for nu in range(mu + 1, 4):
-            val = np.real(bar @ SPIN_OP[mu][nu] @ phi)
-            s[mu, nu] = val
-            s[nu, mu] = -val
+            val = np.real(bar @ SPIN_OP[mu][nu] @ col)[..., 0, 0]
+            s[..., mu, nu] = val
+            s[..., nu, mu] = -val
     return s
 
 

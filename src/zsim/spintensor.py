@@ -21,22 +21,18 @@ import numpy as np
 
 from .constants import C, H_STAR, HBAR, MASS, OMEGA0
 from .emfield import FieldModel, field_tensor, force_at
-from .minkowski import METRIC, Vec4, antisymmetric_parts, lower, mdot
+from .minkowski import METRIC, Vec4, antisymmetric_parts, lower, mdot, wedge
 from .states import PositionState
-
-
-def _wedge(a: Vec4, b: Vec4) -> np.ndarray:
-    return np.outer(a, b) - np.outer(b, a)
 
 
 def build_spin_tensor(z: Vec4, u: Vec4, mass: float = MASS) -> np.ndarray:
     """S^{mu nu} = -m (z^mu u^nu - z^nu u^mu)."""
-    return -mass * _wedge(np.asarray(z), np.asarray(u))
+    return -mass * wedge(z, u)
 
 
 def accel_spin_tensor(u: Vec4, udot: Vec4, mass: float = MASS) -> np.ndarray:
     """Equivalent acceleration form S = (m / w0^2) (udot ^ u)."""
-    return (mass / OMEGA0**2) * _wedge(np.asarray(udot), np.asarray(u))
+    return (mass / OMEGA0**2) * wedge(udot, u)
 
 
 def spin_vectors_direct(z: Vec4, u: Vec4, mass: float = MASS) -> tuple[np.ndarray, np.ndarray]:
@@ -248,7 +244,7 @@ def angular_momentum(state: PositionState, mass: float = MASS) -> AngularMomentu
 
     The three-vector form is J = x cross P - s.
     """
-    orbital = _wedge(state.x, state.pi)
+    orbital = wedge(state.x, state.pi)
     spin = build_spin_tensor(state.z, state.u, mass)
     _, s = antisymmetric_parts(spin)
     total = orbital + spin
@@ -258,4 +254,4 @@ def angular_momentum(state: PositionState, mass: float = MASS) -> AngularMomentu
 
 def torque_tensor(x: Vec4, f: Vec4) -> np.ndarray:
     """External torque M = x ^ f driving dJ/dtau."""
-    return _wedge(np.asarray(x), np.asarray(f))
+    return wedge(x, f)

@@ -112,5 +112,8 @@ def write_columns_csv(path, named_columns: dict[str, np.ndarray]) -> None:
 
 
 def write_json_report(path, payload: dict) -> None:
-    """Deterministic JSON artifact: sorted keys, trailing newline."""
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Deterministic JSON artifact: sorted keys, trailing newline.
+
+    Raises ValueError for NaN or infinite floats, which JSON cannot hold.
+    """
+    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")

@@ -185,6 +185,9 @@ _BAD_INI = {
     "nan-field": "[field]\nvariant = uniform\nb0 = nan 0 0\n",
     "short-run": "[run]\nperiods = 0.001\n",
     "sparse-record": "[run]\nperiods = 1\nrecord_every = 5000\n",
+    "huge-drift-tol": "[tolerances]\ndrift = 1e300\n[run]\nperiods = 0.01\n",
+    "huge-compare-tol": "[scenario]\nformulation = all\n[tolerances]\ncompare = 1e300\n"
+                        "[run]\nperiods = 0.01\n",
 }
 
 
@@ -204,6 +207,18 @@ _BAD_INI = {
         ["ensemble", "--alpha", "-0.01"],
         ["ensemble", "--velocity", "1 1 1"],
         ["compare", "--scenario", "free-rest", "--jobs", "0"],
+        # a negative control with an infinite tolerance would quietly pass
+        ["compare", "--scenario", "free-rest", "--no-validate", "--corrupt-momentum", "0.01",
+         "--tol-scale", "inf"],
+        ["compare", "--scenario", "free-rest", "--tol-scale", "nan"],
+        ["compare", "--scenario", "free-rest", "--corrupt-momentum", "nan"],
+        ["compare", "--scenario", "free-rest", "--corrupt-momentum", "inf"],
+        ["wave", "--scenario", "free-boosted", "--extent", "nan"],
+        ["wave", "--scenario", "free-boosted", "--extent", "inf"],
+        # finite tolerance times finite --tol-scale overflowing to inf
+        ["run", "--scenario", "INI:huge-drift-tol", "--tol-scale", "1e10"],
+        ["verify", "--scenario", "INI:huge-drift-tol", "--tol-scale", "1e10"],
+        ["compare", "--scenario", "INI:huge-compare-tol", "--tol-scale", "1e10"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, argv):
@@ -216,6 +231,20 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, argv):
     assert rc == EXIT_USAGE
     assert len(_error_lines(stderr)) == 1, stderr
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.ini"}, "a rejected run writes nothing"
+
+
+def test_overflowing_residuals_exit_1_with_one_error_line(tmp_path):
+    """Finite states whose residuals overflow are a divergence, not a NaN summary."""
+    path = tmp_path / "huge-field.ini"
+    path.write_text("[scenario]\nformulation = spinor\n[field]\nvariant = uniform\n"
+                    "b0 = 0 0 1e16\n[run]\nsteps_per_period = 1000\nperiods = 0.001\n"
+                    "record_every = 1\n")
+    out = tmp_path / "out"
+    rc, stderr = _main_outcome(["run", "--scenario", str(path), "--out", str(out)])
+    assert rc == EXIT_FAIL
+    assert _error_lines(stderr) == [stderr.strip()], stderr
+    assert "diverged" in stderr
+    assert list(out.iterdir()) == [], "a diverged run writes no summary"
 
 
 _angle = st.sampled_from(["0", "pi", "pi/3", "-pi/2", "2*pi/3"]) | st.floats(-10, 10).map(repr)

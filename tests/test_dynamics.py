@@ -19,7 +19,6 @@ from zsim.dynamics import (
     fourth_order_residual,
     free_motion,
     integrate,
-    integrate_adaptive,
     local_vector,
     map_states,
     matched_initial_states,
@@ -243,6 +242,23 @@ def test_integrate_divergence_detected():
     pos = boosted_states()["position"]
     with pytest.raises(IntegrationDivergedError):
         integrate(pos, FreeField(), 10.0, 2000, record_every=100)
+    # a finite state whose residuals overflow diverges at that sample's tau
+    model = UniformEB(b0=np.array([0.0, 0.0, 1e16]))
+    with pytest.raises(IntegrationDivergedError) as info:
+        integrate(boosted_states()["spinor"], model, T0 / 1000, 1, tau0=2.0)
+    assert info.value.tau == 2.0 + T0 / 1000
+
+
+@pytest.mark.parametrize("formulation", ["position", "spintensor", "spinor"])
+@pytest.mark.parametrize("model", [FreeField(), UniformEB(b0=np.array([0.0, 0.0, 1e-3]))],
+                         ids=["free", "uniform"])
+def test_trajectory_residuals_equal_single_sample_residuals(formulation, model):
+    """The stacked residual arrays and constraint_residuals share one formula."""
+    traj = integrate(boosted_states()[formulation], model, T0 / 1000, 1000, record_every=10)
+    for i in range(len(traj)):
+        single = constraint_residuals(traj.state_at(i))
+        for key, values in traj.residuals.items():
+            assert values[i] == single[key], (key, i)
 
 
 def test_trajectory_grid_and_offset():
@@ -253,15 +269,6 @@ def test_trajectory_grid_and_offset():
     assert traj.dt == pytest.approx(1e-2)
     first = traj.state_at(0)
     assert np.allclose(first.x, pos.x, atol=0.0)
-
-
-def test_integrate_adaptive_tracks_closed_form():
-    pos = boosted_states()["position"]
-    traj = integrate_adaptive(pos, FreeField(), T0, tol=1e-10)
-    want = closed_form_free(pos, float(traj.taus[-1]))
-    assert np.abs(traj.xs[-1] - want.x).max() < 1e-8
-    assert np.abs(traj.us[-1] - want.u).max() < 1e-8
-    assert np.all(np.diff(traj.taus) > 0)
 
 
 def test_conservation_free_run():

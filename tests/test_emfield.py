@@ -36,6 +36,13 @@ def test_lorentz_force_example():
     u = fvec(1.0, 1.0, 0.0, 0.0)
     f = lorentz_force(-1.0, e, b, u)
     assert np.allclose(f, [0.0, 0.0, 1.0, 0.0]), f"unexpected force {f}"
+    # stacked fields and velocities give the per-sample forces
+    rng = np.random.default_rng(6)
+    es, bs, us = rng.normal(size=(10, 3)), rng.normal(size=(10, 3)), rng.normal(size=(10, 4))
+    got = lorentz_force(-1.0, es, bs, us)
+    assert got.shape == (10, 4)
+    for row, e_k, b_k, u_k in zip(got, es, bs, us):
+        assert np.array_equal(row, lorentz_force(-1.0, e_k, b_k, u_k))
 
 
 def test_force_time_component_is_power():

@@ -20,6 +20,7 @@ from zsim.minkowski import (
     mdot,
     spatial,
     unboost_vector,
+    wedge,
 )
 
 component = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -53,6 +54,19 @@ def test_mdot_broadcasts_over_stacks():
     got = mdot(rows, rows)
     want = rows[:, 0] ** 2 - np.sum(rows[:, 1:] ** 2, axis=1)
     assert np.allclose(got, want)
+    # one formula: a stack gives the same bits as per-row calls
+    a, b = np.random.default_rng(4).normal(size=(2, 50, 4))
+    assert np.array_equal(mdot(a, b), [mdot(x, y) for x, y in zip(a, b)])
+
+
+def test_wedge_broadcasts_over_stacks():
+    a, b = np.random.default_rng(5).normal(size=(2, 20, 4))
+    got = wedge(a, b)
+    assert got.shape == (20, 4, 4)
+    assert np.array_equal(got, -np.swapaxes(got, 1, 2))
+    for x, y, row in zip(a, b, got):
+        assert np.array_equal(row, np.outer(x, y) - np.outer(y, x))
+        assert np.array_equal(row, wedge(x, y))
 
 
 def test_gamma_of_rejects_superluminal():

@@ -176,6 +176,9 @@ u = 1 1 0 0
         ("[run]\nperiods = inf\n", "run.periods must be finite"),
         ("[run]\ncharge = nan\n", "run.charge must be finite"),
         ("[tolerances]\ndrift = nan\n", "tolerances.drift must be finite"),
+        ("[run]\nperiods = 1e300\n", r"exceeds 2\*\*53 steps"),
+        ("[run]\nperiods = 1e308\n", r"exceeds 2\*\*53 steps"),
+        (f"[run]\nsteps_per_period = {10**60}\n", r"exceeds 2\*\*53 steps"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, body, message):

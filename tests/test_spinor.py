@@ -133,6 +133,12 @@ def test_velocity_derivative_from_spin_tensor():
     ) / (2 * h)
     assert np.allclose(udot, fd, atol=1e-8)
     assert np.linalg.norm(udot[1:]) == pytest.approx(C * OMEGA0, abs=1e-12)
+    # a stack of amplitudes gives the single-sample tensors bit for bit
+    phis = evolve_amplitudes(amps, PI_REST, np.linspace(0.0, T0, 7))
+    stacked = spin_tensor_observable(phis)
+    assert stacked.shape == (7, 4, 4)
+    for phi, tensor in zip(phis, stacked):
+        assert np.array_equal(tensor, spin_tensor_observable(phi))
 
 
 def test_energy_projectors_algebra():

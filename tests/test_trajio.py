@@ -102,3 +102,7 @@ def test_json_report_format(tmp_path):
     assert text.endswith("\n")
     assert text.index('"a"') < text.index('"b"'), "keys not sorted"
     assert json.loads(text) == {"b": 2, "a": {"y": 1.5, "x": [1, 2]}}
+    # NaN and Infinity are not JSON; refuse them instead of writing them
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json_report(tmp_path / "bad.json", {"drift": bad})

@@ -1,0 +1,78 @@
+"""Hash the artifacts of a fixed list of zsim CLI calls.
+
+Usage (from a checkout, with its ``src`` on the path):
+
+    PYTHONPATH=src python3 tools/artifact_hashes.py OUTDIR
+
+Each call runs through ``zsim.cli.main`` in its own directory under
+OUTDIR.  ``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>``
+line naming the call and one ``<sha256>  <path>`` line per artifact,
+with paths relative to OUTDIR.  Run it on two checkouts and ``diff`` the
+two SHA256SUMS files to see which artifact bytes and exit codes changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import re
+import sys
+from pathlib import Path
+
+from zsim.cli import main
+
+PRESETS = ("free-rest", "free-boosted", "uniform-b-weak", "uniform-b-cyclotron",
+           "uniform-b-precession", "coulomb-orbit")
+COMPARED = ("free-rest", "free-boosted", "uniform-b-weak")  # formulation = all
+NEGATIVE = ["--no-validate", "--corrupt-momentum", "0.01"]
+EMITTED = ("free-boosted", "uniform-b-weak", "coulomb-orbit")
+EMIT_COLUMNS = {"position": ["x1", "u0"], "spintensor": ["x1", "s1"], "spinor": ["x1", "u0"]}
+
+
+def calls() -> list[list[str]]:
+    out = []
+    for preset in PRESETS:
+        for f in ("position", "spintensor", "spinor"):
+            out.append(["run", "--scenario", preset, "--formulation", f])
+    for preset in COMPARED:
+        for jobs in ("1", "2"):
+            out.append(["compare", "--scenario", preset, "--jobs", jobs])
+            out.append(["compare", "--scenario", preset, "--jobs", jobs, *NEGATIVE])
+    for preset in EMITTED:
+        for f, cols in EMIT_COLUMNS.items():
+            out.append(["emit", *cols, "residuals", "--scenario", preset, "--formulation", f])
+    out.append(["sample", "--theta", "pi/3", "--count", "100000", "--seed", "0"])
+    out.append(["sample", "--theta", "pi/2", "--device-theta", "pi/4", "--seed", "1",
+                "--tag", "tilted"])
+    for flow in ("free", "corrupted"):
+        out.append(["ensemble", "--flow", flow, "--seed", "0"])
+    out.append(["wave", "--scenario", "free-boosted"])
+    out.append(["wave", "--scenario", "free-boosted", "--axes", "x1 x3"])
+    return out
+
+
+def _slug(k: int, argv: list[str]) -> str:
+    return f"{k:02d}-" + re.sub(r"[^A-Za-z0-9.]+", "_", " ".join(argv)).strip("_")
+
+
+def main_hashes(outdir: Path) -> int:
+    lines = []
+    for k, argv in enumerate(calls()):
+        where = outdir / _slug(k, argv)
+        where.mkdir(parents=True, exist_ok=True)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([*argv, "--out", str(where)])
+        lines.append(f"exit {rc}  {' '.join(argv)}")
+        print(lines[-1], flush=True)
+        for path in sorted(p for p in where.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines.append(f"{digest}  {path.relative_to(outdir)}")
+    (outdir / "SHA256SUMS").write_text("\n".join(lines) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: artifact_hashes.py OUTDIR")
+    sys.exit(main_hashes(Path(sys.argv[1])))
