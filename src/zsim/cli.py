@@ -444,8 +444,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ScenarioError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except (dynamics.ConstraintViolationError, dynamics.IntegrationDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,15 +13,17 @@ happens every ``record_every`` steps into a caller-allocated array; the
 return value is -1 on success or the record index at which a non-finite
 state was detected.
 
-The array kernels are compiled with numba at import time when available.
-Without numba (or with ZSIM_NO_NUMBA=1 set before import) ``INTEGRATORS``
-holds a separate pure-Python driver instead: one RK4 loop on Python floats
-(complex for the spinor) with scalar rhs functions that keep every
-floating-point operation of the array kernels in the same order, so its
-records and divergence indices are bit-identical to theirs (pinned by the
-test suite).  On one core of a 2-core machine (Python 3.11) it runs 100k
-steps in about 1.4-2.1 s (position, spin tensor) and 3.1-3.8 s (spinor),
-against 7-11 s for the array kernels run as plain Python.
+The array kernels are compiled with numba at import time when numba is
+installed.  Without it ``INTEGRATORS`` holds a separate pure-Python driver
+instead: one RK4 loop on Python floats (complex for the spinor) with scalar
+rhs functions that keep every floating-point operation of the array kernels
+in the same order, so its records and divergence indices are bit-identical
+to theirs (pinned by the test suite).  On one core of a 2-core machine
+(Python 3.11) it runs 100k steps in about 1.4-2.1 s (position, spin tensor)
+and 3.1-3.8 s (spinor), against 7-11 s for the array kernels run as plain
+Python.  Each backend has one RK4 driver that closes over a formulation's
+rhs (``_array_rk4``, ``_float_rk4``), and both evaluate the field with
+``_field_eb``.
 
 The equations of motion also exist at dataclass level in dynamics.deriv_*;
 the test suite pins agreement between the two implementations.
@@ -30,7 +32,6 @@ the test suite pins agreement between the two implementations.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -41,24 +42,16 @@ FIELD_COULOMB = 2
 # omega0^2 in natural units, kept literal so kernels are self-contained.
 _W0SQ = 4.0
 
-_USE_NUMBA = os.environ.get("ZSIM_NO_NUMBA", "0") != "1"
-if _USE_NUMBA:
-    try:
-        from numba import njit as _njit
+try:
+    from numba import njit as _njit
 
-        def _jit(fn):
-            return _njit(cache=True)(fn)
-
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
-
-if not _USE_NUMBA:
-
-    def _jit(fn):
-        return fn
+    JITTED = True
+except ImportError:
+    JITTED = False
 
 
-JITTED = _USE_NUMBA
+def _jit(fn):
+    return _njit(cache=True)(fn) if JITTED else fn
 
 
 @_jit
@@ -71,8 +64,10 @@ def _field_eb(fcode, fp, x1, x2, x3):
         r3 = x3 - fp[3]
         rsq = r1 * r1 + r2 * r2 + r3 * r3
         if rsq == 0.0:
-            return np.nan, np.nan, np.nan, 0.0, 0.0, 0.0
-        scale = fp[0] / (rsq * np.sqrt(rsq))
+            return math.nan, math.nan, math.nan, 0.0, 0.0, 0.0
+        den = rsq * math.sqrt(rsq)
+        # rsq**1.5 can underflow to +0.0; IEEE gives Z / +0.0 == Z * inf
+        scale = fp[0] / den if den else fp[0] * math.inf
         return scale * r1, scale * r2, scale * r3, 0.0, 0.0, 0.0
     return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
 
@@ -169,198 +164,64 @@ def rhs_spinor(s, fcode, fp, q, out):
     out[11] = -1j * h4
 
 
-@_jit
-def integrate_position(state, fcode, fp, q, dt, n_steps, record_every, out):
-    s = state.copy()
-    k1 = np.empty_like(s)
-    k2 = np.empty_like(s)
-    k3 = np.empty_like(s)
-    k4 = np.empty_like(s)
-    tmp = np.empty_like(s)
-    n = s.shape[0]
-    for i in range(n):
-        out[0, i] = s[i]
-    rec = 1
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for step in range(1, n_steps + 1):
-        rhs_position(s, fcode, fp, q, k1)
+def _array_rk4(rhs):
+    """The RK4 driver of the array kernels, advancing ``rhs`` in place on a
+    packed state; numba freezes ``rhs`` into the compiled driver."""
+
+    @_jit
+    def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
+        s = state.copy()
+        k1 = np.empty_like(s)
+        k2 = np.empty_like(s)
+        k3 = np.empty_like(s)
+        k4 = np.empty_like(s)
+        tmp = np.empty_like(s)
+        n = s.shape[0]
         for i in range(n):
-            tmp[i] = s[i] + half * k1[i]
-        rhs_position(tmp, fcode, fp, q, k2)
-        for i in range(n):
-            tmp[i] = s[i] + half * k2[i]
-        rhs_position(tmp, fcode, fp, q, k3)
-        for i in range(n):
-            tmp[i] = s[i] + dt * k3[i]
-        rhs_position(tmp, fcode, fp, q, k4)
-        for i in range(n):
-            s[i] = s[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        if step % record_every == 0:
-            ok = True
+            out[0, i] = s[i]
+        rec = 1
+        half = 0.5 * dt
+        sixth = dt / 6.0
+        for step in range(1, n_steps + 1):
+            rhs(s, fcode, fp, q, k1)
             for i in range(n):
-                if not np.isfinite(abs(s[i])):
-                    ok = False
-            if not ok:
-                return rec
+                tmp[i] = s[i] + half * k1[i]
+            rhs(tmp, fcode, fp, q, k2)
             for i in range(n):
-                out[rec, i] = s[i]
-            rec += 1
-    return -1
-
-
-@_jit
-def integrate_spintensor(state, fcode, fp, q, dt, n_steps, record_every, out):
-    s = state.copy()
-    k1 = np.empty_like(s)
-    k2 = np.empty_like(s)
-    k3 = np.empty_like(s)
-    k4 = np.empty_like(s)
-    tmp = np.empty_like(s)
-    n = s.shape[0]
-    for i in range(n):
-        out[0, i] = s[i]
-    rec = 1
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for step in range(1, n_steps + 1):
-        rhs_spintensor(s, fcode, fp, q, k1)
-        for i in range(n):
-            tmp[i] = s[i] + half * k1[i]
-        rhs_spintensor(tmp, fcode, fp, q, k2)
-        for i in range(n):
-            tmp[i] = s[i] + half * k2[i]
-        rhs_spintensor(tmp, fcode, fp, q, k3)
-        for i in range(n):
-            tmp[i] = s[i] + dt * k3[i]
-        rhs_spintensor(tmp, fcode, fp, q, k4)
-        for i in range(n):
-            s[i] = s[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        if step % record_every == 0:
-            ok = True
+                tmp[i] = s[i] + half * k2[i]
+            rhs(tmp, fcode, fp, q, k3)
             for i in range(n):
-                if not np.isfinite(abs(s[i])):
-                    ok = False
-            if not ok:
-                return rec
+                tmp[i] = s[i] + dt * k3[i]
+            rhs(tmp, fcode, fp, q, k4)
             for i in range(n):
-                out[rec, i] = s[i]
-            rec += 1
-    return -1
+                s[i] = s[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            if step % record_every == 0:
+                ok = True
+                for i in range(n):
+                    if not np.isfinite(abs(s[i])):
+                        ok = False
+                if not ok:
+                    return rec
+                for i in range(n):
+                    out[rec, i] = s[i]
+                rec += 1
+        return -1
+
+    return integrate
 
 
-@_jit
-def integrate_spinor(state, fcode, fp, q, dt, n_steps, record_every, out):
-    s = state.copy()
-    k1 = np.empty_like(s)
-    k2 = np.empty_like(s)
-    k3 = np.empty_like(s)
-    k4 = np.empty_like(s)
-    tmp = np.empty_like(s)
-    n = s.shape[0]
-    for i in range(n):
-        out[0, i] = s[i]
-    rec = 1
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for step in range(1, n_steps + 1):
-        rhs_spinor(s, fcode, fp, q, k1)
-        for i in range(n):
-            tmp[i] = s[i] + half * k1[i]
-        rhs_spinor(tmp, fcode, fp, q, k2)
-        for i in range(n):
-            tmp[i] = s[i] + half * k2[i]
-        rhs_spinor(tmp, fcode, fp, q, k3)
-        for i in range(n):
-            tmp[i] = s[i] + dt * k3[i]
-        rhs_spinor(tmp, fcode, fp, q, k4)
-        for i in range(n):
-            s[i] = s[i] + sixth * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-        if step % record_every == 0:
-            ok = True
-            for i in range(n):
-                if not np.isfinite(abs(s[i])):
-                    ok = False
-            if not ok:
-                return rec
-            for i in range(n):
-                out[rec, i] = s[i]
-            rec += 1
-    return -1
+integrate_position = _array_rk4(rhs_position)
+integrate_spintensor = _array_rk4(rhs_spintensor)
+integrate_spinor = _array_rk4(rhs_spinor)
 
 
-@_jit
-def ensemble_corrupted(xs, thetas, drift, osc_a, osc_b, pa, pb, h, n_steps):
-    """Advance the sign-flipped-zitter ensemble flow in place.
-
-    Per particle: dtheta/ds = 1 + pa cos(w0 theta) + pb sin(w0 theta),
-    dx/ds = drift - osc_a cos(w0 theta) - osc_b sin(w0 theta); classical
-    RK4, sequential over particles (they are independent).
-    """
-    w0 = 2.0
-    n = xs.shape[0]
-    for i in range(n):
-        th = thetas[i]
-        x1, x2, x3 = xs[i, 0], xs[i, 1], xs[i, 2]
-        for _ in range(n_steps):
-            c = np.cos(w0 * th)
-            s = np.sin(w0 * th)
-            k1t = 1.0 + pa * c + pb * s
-            k1x1 = drift[0] - osc_a[0] * c - osc_b[0] * s
-            k1x2 = drift[1] - osc_a[1] * c - osc_b[1] * s
-            k1x3 = drift[2] - osc_a[2] * c - osc_b[2] * s
-            t2 = th + 0.5 * h * k1t
-            c = np.cos(w0 * t2)
-            s = np.sin(w0 * t2)
-            k2t = 1.0 + pa * c + pb * s
-            k2x1 = drift[0] - osc_a[0] * c - osc_b[0] * s
-            k2x2 = drift[1] - osc_a[1] * c - osc_b[1] * s
-            k2x3 = drift[2] - osc_a[2] * c - osc_b[2] * s
-            t3 = th + 0.5 * h * k2t
-            c = np.cos(w0 * t3)
-            s = np.sin(w0 * t3)
-            k3t = 1.0 + pa * c + pb * s
-            k3x1 = drift[0] - osc_a[0] * c - osc_b[0] * s
-            k3x2 = drift[1] - osc_a[1] * c - osc_b[1] * s
-            k3x3 = drift[2] - osc_a[2] * c - osc_b[2] * s
-            t4 = th + h * k3t
-            c = np.cos(w0 * t4)
-            s = np.sin(w0 * t4)
-            k4t = 1.0 + pa * c + pb * s
-            k4x1 = drift[0] - osc_a[0] * c - osc_b[0] * s
-            k4x2 = drift[1] - osc_a[1] * c - osc_b[1] * s
-            k4x3 = drift[2] - osc_a[2] * c - osc_b[2] * s
-            th += (h / 6.0) * (k1t + 2.0 * k2t + 2.0 * k3t + k4t)
-            x1 += (h / 6.0) * (k1x1 + 2.0 * k2x1 + 2.0 * k3x1 + k4x1)
-            x2 += (h / 6.0) * (k1x2 + 2.0 * k2x2 + 2.0 * k3x2 + k4x2)
-            x3 += (h / 6.0) * (k1x3 + 2.0 * k2x3 + 2.0 * k3x3 + k4x3)
-        thetas[i] = th
-        xs[i, 0], xs[i, 1], xs[i, 2] = x1, x2, x3
-
-
-# The pure-Python path: scalar twins of the array kernels above, on Python
-# floats.  Each expression keeps its operand order, so results match the array
-# kernels bit for bit; the two places where Python raises and numpy returns inf
-# or nan (division by zero, abs of a huge complex) are handled explicitly.
+# The pure-Python path: scalar twins of the array rhs above, on Python floats.
+# Each expression keeps its operand order, so results match the array kernels
+# bit for bit; where Python raises and numpy returns inf (division by zero in
+# _field_eb, abs of a huge complex in _all_finite) the shared code says so.
 
 _force_floats = getattr(_force, "py_func", _force)
-
-
-def _field_eb_floats(fcode, fp, x1, x2, x3):
-    if fcode == 1:
-        return fp[0], fp[1], fp[2], fp[3], fp[4], fp[5]
-    if fcode == 2:
-        r1 = x1 - fp[1]
-        r2 = x2 - fp[2]
-        r3 = x3 - fp[3]
-        rsq = r1 * r1 + r2 * r2 + r3 * r3
-        if rsq == 0.0:
-            return math.nan, math.nan, math.nan, 0.0, 0.0, 0.0
-        den = rsq * math.sqrt(rsq)
-        # rsq**1.5 can underflow to +0.0; IEEE gives Z / +0.0 == Z * inf
-        scale = fp[0] / den if den else fp[0] * math.inf
-        return scale * r1, scale * r2, scale * r3, 0.0, 0.0, 0.0
-    return 0.0, 0.0, 0.0, 0.0, 0.0, 0.0
+_field_eb_floats = getattr(_field_eb, "py_func", _field_eb)
 
 
 def _rhs_position_floats(s, fcode, fp, q):
@@ -473,7 +334,7 @@ INTEGRATORS = {
     "position": integrate_position,
     "spintensor": integrate_spintensor,
     "spinor": integrate_spinor,
-} if _USE_NUMBA else dict(FLOAT_INTEGRATORS)
+} if JITTED else dict(FLOAT_INTEGRATORS)
 
 RHS = {
     "position": rhs_position,

@@ -1,4 +1,4 @@
-"""Trajectory export: CSV and JSON-lines with a fixed column schema.
+"""Trajectory export: CSV with a fixed column schema, and JSON reports.
 
 Column order (one row per recorded sample):
 
@@ -84,15 +84,6 @@ def _write_table(path, names: list[str], table: np.ndarray) -> None:
 
 def write_csv(traj: Trajectory, path) -> None:
     _write_table(path, column_names(traj.formulation), row_table(traj))
-
-
-def write_jsonl(traj: Trajectory, path) -> None:
-    names = column_names(traj.formulation)
-    table = row_table(traj)
-    with open(path, "w") as fh:
-        for row in table:
-            rec = {name: float(v) for name, v in zip(names, row)}
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def read_csv(path) -> dict[str, np.ndarray]:

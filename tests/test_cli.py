@@ -188,6 +188,7 @@ _BAD_INI = {
     "huge-drift-tol": "[tolerances]\ndrift = 1e300\n[run]\nperiods = 0.01\n",
     "huge-compare-tol": "[scenario]\nformulation = all\n[tolerances]\ncompare = 1e300\n"
                         "[run]\nperiods = 0.01\n",
+    "huge-run": "[scenario]\nformulation = position\n[run]\nperiods = 1e12\n",
 }
 
 
@@ -219,6 +220,11 @@ _BAD_INI = {
         ["run", "--scenario", "INI:huge-drift-tol", "--tol-scale", "1e10"],
         ["verify", "--scenario", "INI:huge-drift-tol", "--tol-scale", "1e10"],
         ["compare", "--scenario", "INI:huge-compare-tol", "--tol-scale", "1e10"],
+        # arrays beyond the 2**47-byte address space: allocation fails at once
+        ["run", "--scenario", "INI:huge-run"],
+        ["wave", "--scenario", "free-boosted", "--points", "5000000"],
+        ["sample", "--theta", "1", "--count", str(10**17)],
+        ["ensemble", "--n", str(10**17)],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, argv):

@@ -70,11 +70,12 @@ def test_divergence_index_matches_on_blow_up(name):
 @pytest.mark.parametrize("name", FORMULATIONS)
 def test_divergence_index_matches_when_coulomb_denominator_underflows(name):
     # |r| = 1e-110: r^2 sqrt(r^2) underflows to 0, and Z / 0 must give inf
-    # rather than ZeroDivisionError
+    # rather than ZeroDivisionError; |r| = 0 takes the field's nan branch
     fcode, fparams = FIELDS["coulomb"]
-    state = packed(STATES["boosted"](), name)
-    state[1:4] = fparams[1:4] + np.array([1e-110, 0.0, 0.0])
-    assert run_both(name, state, fcode, fparams, T0 / 1000, 10, 1) == 1
+    for offset in (1e-110, 0.0):
+        state = packed(STATES["boosted"](), name)
+        state[1:4] = fparams[1:4] + np.array([offset, 0.0, 0.0])
+        assert run_both(name, state, fcode, fparams, T0 / 1000, 10, 1) == 1
 
 
 def test_divergence_index_matches_when_complex_modulus_overflows():

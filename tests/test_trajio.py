@@ -15,7 +15,6 @@ from zsim.trajio import (
     write_columns_csv,
     write_csv,
     write_json_report,
-    write_jsonl,
 )
 
 
@@ -74,18 +73,6 @@ def test_spinor_csv_holds_amplitudes(tmp_path):
     cols = read_csv(path)
     assert np.array_equal(cols["phi1_re"], traj.phis[:, 0].real)
     assert np.array_equal(cols["phi3_im"], traj.phis[:, 2].imag)
-
-
-def test_jsonl_records(tmp_path):
-    traj = short_run("position")
-    path = tmp_path / "traj.jsonl"
-    write_jsonl(traj, path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(traj)
-    first = json.loads(lines[0])
-    assert set(first) == set(column_names("position"))
-    assert first["tau"] == 0.0
-    assert list(first) == sorted(first), "keys not sorted"
 
 
 def test_columns_csv(tmp_path):

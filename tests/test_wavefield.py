@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from zsim import kernels, wavefield
+from zsim import wavefield
 from zsim.constants import C, MASS, OMEGA0, T0
 from zsim.dynamics import matched_initial_states
 from zsim.minkowski import BoostParams, boost_vector, gamma_of, mdot
@@ -260,10 +260,9 @@ def _corrupted_flow_reference(x0, tau0, drift, osc_a, osc_b, pvec, span, n_steps
 
 
 @pytest.mark.parametrize("n", [5, 2 * wavefield._FLOW_BLOCK + 37])
-def test_corrupted_flow_numpy_matches_reference(monkeypatch, n):
-    """The blocked out= loop of the numpy fallback is the reference loop
+def test_corrupted_flow_numpy_matches_reference(n):
+    """The blocked out= loop of the corrupted flow is the reference loop
     byte for byte, also across a partial last block."""
-    monkeypatch.setattr(kernels, "JITTED", False)
     state = matched_initial_states(1.1, 0.4, velocity=np.array([0.3, -0.2, 0.4]))["position"]
     drift, osc_a, osc_b = wavefield._oscillation_coefficients(state)
     x0 = np.random.default_rng(3).random((n, 3)) * 2.0
