@@ -36,6 +36,7 @@ from .scenario import (
     load_scenario,
     parse_angle,
     parse_velocity,
+    path_component,
     preset_names,
 )
 from .states import FORMULATIONS, Trajectory
@@ -46,9 +47,11 @@ EXIT_USAGE = 2
 
 
 def _out_dir(args) -> Path:
-    raw = args.out or os.environ.get("ZSIM_OUT_DIR") or "."
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or os.environ.get("ZSIM_OUT_DIR") or ".")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. the path names an existing file
+        raise ScenarioError(f"cannot use {str(path)!r} as output directory: {exc.strerror}") from None
     return path
 
 
@@ -57,11 +60,7 @@ def _timing(message: str) -> None:
 
 
 def _scenario_formulations(sc: Scenario) -> list[str]:
-    if sc.formulation == "all":
-        if sc.mode == "raw":
-            return ["position", "spintensor"]
-        return list(FORMULATIONS)
-    return [sc.formulation]
+    return list(sc.states) if sc.formulation == "all" else [sc.formulation]
 
 
 def _run_one(sc: Scenario, formulation: str, corrupt_momentum: float = 0.0,
@@ -76,7 +75,7 @@ def _run_one(sc: Scenario, formulation: str, corrupt_momentum: float = 0.0,
     t0 = time.perf_counter()
     traj = dynamics.integrate(
         state,
-        sc.build_field(),
+        sc.field,
         dt=sc.dt,
         n_steps=sc.n_steps,
         q=sc.charge,
@@ -103,11 +102,11 @@ def _drift_value(traj: Trajectory) -> float:
 
 def cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
-    out = _out_dir(args)
     drift_tol = _tolerance(sc, "drift", args.tol_scale)
     status = EXIT_OK
     for formulation in ([args.formulation] if args.formulation else _scenario_formulations(sc)):
         traj = _run_one(sc, formulation)
+        out = _out_dir(args)
         stem = f"{sc.name}-{formulation}"
         trajio.write_csv(traj, out / f"{stem}.csv")
         summary = {
@@ -203,7 +202,8 @@ def cmd_compare(args) -> int:
         # imported here: only this branch uses it, and it costs import time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a fork-started pool launches all its workers at once, needed or not
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(formulations))) as pool:
             trajs = dict(pool.map(_compare_worker,
                                   [(args.scenario, f, args.corrupt_momentum, validate)
                                    for f in formulations]))
@@ -339,18 +339,33 @@ def cmd_wave(args) -> int:
     return EXIT_OK
 
 
-def _finite(kind, positive: bool = True):
-    """argparse converter that rejects NaN, infinities and, if ``positive``, x <= 0."""
+_SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "": lambda v: True}
+
+
+def _finite(kind, sign: str = "positive"):
+    """argparse converter that rejects NaN, infinities, ints beyond the float
+    range and, unless ``sign`` is empty, values that are not ``sign``."""
     def convert(text: str):
         value = kind(text)
-        if not (math.isfinite(value) and (value > 0 or not positive)):
-            sign = "positive " if positive else ""
-            raise argparse.ArgumentTypeError(f"must be a {sign}finite {kind.__name__}, "
-                                             f"got {text!r}")
+        try:
+            ok = math.isfinite(value) and _SIGNS[sign](value)
+        except OverflowError:  # an int too large for a float
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(f"must be a {sign + ' ' if sign else ''}finite "
+                                             f"{kind.__name__}, got {text!r}")
         return value
 
     convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
     return convert
+
+
+def _tag(text: str) -> str:
+    """argparse converter for --tag: one plain path component."""
+    try:
+        return path_component(text, "a tag")
+    except ScenarioError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,10 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, scenario=True, scenario_required=True):
-        if scenario:
-            p.add_argument("--scenario", required=scenario_required,
-                           help="preset name or INI file path")
+    def common(p, scenario_required=True):
+        p.add_argument("--scenario", required=scenario_required,
+                       help="preset name or INI file path")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--tol-scale", type=_finite(float), default=1.0,
                        help="multiply all tolerances")
@@ -389,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="integrate formulations in parallel processes")
     p_cmp.add_argument("--no-validate", action="store_true",
                        help="skip the initial-state constraint validator")
-    p_cmp.add_argument("--corrupt-momentum", type=_finite(float, positive=False), default=0.0,
+    p_cmp.add_argument("--corrupt-momentum", type=_finite(float, ""), default=0.0,
                        help="scale the position-formulation momentum by 1+x "
                             "(negative control; use with --no-validate)")
     p_cmp.set_defaults(func=cmd_compare)
@@ -407,8 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--device-theta", default="0")
     p_sample.add_argument("--device-phi", default="0")
     p_sample.add_argument("--count", type=_finite(int), default=100_000)
-    p_sample.add_argument("--seed", type=int, default=0)
-    p_sample.add_argument("--tag", default="spin", help="artifact name suffix")
+    p_sample.add_argument("--seed", type=_finite(int, "non-negative"), default=0)
+    p_sample.add_argument("--tag", type=_tag, default="spin", help="artifact name suffix")
     p_sample.add_argument("--out", default=None)
     p_sample.set_defaults(func=cmd_sample)
 
@@ -416,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--flow", choices=["free", "corrupted"], default="free")
     p_ens.add_argument("--n", type=_finite(int), default=100_000)
     p_ens.add_argument("--periods", type=_finite(float), default=10.0)
-    p_ens.add_argument("--seed", type=int, default=0)
+    p_ens.add_argument("--seed", type=_finite(int, "non-negative"), default=0)
     p_ens.add_argument("--bins", type=_finite(int), default=16)
     p_ens.add_argument("--box", type=_finite(float), default=2.0)
     p_ens.add_argument("--alpha", type=_finite(float), default=0.01)

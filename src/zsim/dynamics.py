@@ -258,7 +258,6 @@ def integrate(
     record_every: int = 1,
     tau0: float = 0.0,
     validate: bool = True,
-    validate_tol: float = 1e-10,
 ) -> Trajectory:
     """Fixed-step RK4 integration, recording every ``record_every`` steps.
 
@@ -275,7 +274,7 @@ def integrate(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if validate:
-        validate_state(state, validate_tol)
+        validate_state(state)
     formulation = formulation_of(state)
     fcode, fparams = _field_code(model)
     packed = pack_state(state).astype(kernels.STATE_DTYPE[formulation])
@@ -299,19 +298,22 @@ def _trajectory_from_packed(formulation: str, taus: np.ndarray, out: np.ndarray)
     if formulation == "position":
         xs, us, ys, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:16]
         zs = xs - ys
+        spins = np.hstack(spin_vectors_direct(zs, us))
         res = _residual_arrays(us, pis, zs)
-        return Trajectory(formulation, taus, xs, us, pis, ys=ys, residuals=res)
+        return Trajectory(formulation, taus, xs, us, pis, spins, ys=ys, residuals=res)
     if formulation == "spintensor":
         xs, us, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12]
         spins = out[:, 12:18]
         zs = _z_of(antisymmetric_tensor(spins[:, :3], spins[:, 3:]), pis)
         res = _residual_arrays(us, pis, zs)
-        return Trajectory(formulation, taus, xs, us, pis, spins=spins, residuals=res)
+        return Trajectory(formulation, taus, xs, us, pis, spins, residuals=res)
     xs, pis, phis = out[:, 0:4].real, out[:, 4:8].real, out[:, 8:12]
     us = velocity_observable(phis)
-    zs = _z_of(spin_tensor_observable(phis), pis)
+    spin_tensors = spin_tensor_observable(phis)
+    zs = _z_of(spin_tensors, pis)
     res = _residual_arrays(us, pis, zs)
-    return Trajectory(formulation, taus, xs, us, pis, phis=phis, residuals=res)
+    spins = np.hstack(antisymmetric_parts(spin_tensors))
+    return Trajectory(formulation, taus, xs, us, pis, spins, phis=phis, residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +412,6 @@ def oracle_errors(traj: Trajectory, state0: PositionState) -> dict[str, float]:
     return out
 
 
-def spin_part_arrays(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """(d, s) spin-vector arrays for any formulation's trajectory."""
-    if traj.formulation == "spintensor":
-        assert traj.spins is not None
-        return traj.spins[:, 0:3], traj.spins[:, 3:6]
-    if traj.formulation == "spinor":
-        assert traj.phis is not None
-        return antisymmetric_parts(spin_tensor_observable(traj.phis))
-    assert traj.ys is not None
-    return spin_vectors_direct(traj.xs - traj.ys, traj.us)
-
-
 @dataclass
 class ComparisonReport:
     """Pairwise max divergence between formulations sharing a tau grid."""
@@ -462,8 +452,8 @@ def compare_trajectories(trajs: dict[str, Trajectory]) -> ComparisonReport:
     """Pairwise divergence of already-integrated trajectories."""
     arrays = {}
     for name, tr in trajs.items():
-        ds, ss = spin_part_arrays(tr)
-        arrays[name] = {"x": tr.xs, "u": tr.us, "pi": tr.pis, "d": ds, "s": ss}
+        arrays[name] = {"x": tr.xs, "u": tr.us, "pi": tr.pis,
+                        "d": tr.spins[:, :3], "s": tr.spins[:, 3:]}
     names = sorted(trajs)
     per_pair: dict[str, dict[str, float]] = {}
     overall = 0.0
@@ -529,7 +519,7 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
     max constraint residuals and the energy-equation residual
     (1/m) pi.pi - m c^2 - f.z.
     """
-    spins = antisymmetric_tensor(*spin_part_arrays(traj))
+    spins = antisymmetric_tensor(traj.spins[:, :3], traj.spins[:, 3:])
     xs, us, pis = traj.xs, traj.us, traj.pis
     js = wedge(xs, pis) + spins
     fs = np.stack([force_at(model, q, x, u) for x, u in zip(xs, us)])

@@ -121,8 +121,6 @@ def boost_coords(
     r: np.ndarray,
     tau: float | np.ndarray,
     params: BoostParams,
-    t_offset: float = 0.0,
-    x_offset: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observer-frame coordinates (t, x) of a rest-frame event (tau, r).
 
@@ -133,10 +131,8 @@ def boost_coords(
     g = params.gamma
     r = np.asarray(r, dtype=np.float64)
     vdotr = r @ v
-    t = g * vdotr + g * np.asarray(tau) + t_offset
+    t = g * vdotr + g * np.asarray(tau)
     x = r + np.multiply.outer((g * g / (1.0 + g)) * vdotr + g * np.asarray(tau), v)
-    if x_offset is not None:
-        x = x + np.asarray(x_offset)
     return t, x
 
 

@@ -117,20 +117,13 @@ def parse_velocity(text: str, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A validated scenario: the field and initial states it denotes, built at load."""
+
     name: str
     formulation: str
     field_variant: str
-    e0: np.ndarray
-    b0: np.ndarray
-    z_charge: float
-    center: np.ndarray
-    mode: str
-    theta: float
-    phi: float
-    phase: float
-    velocity: np.ndarray
-    origin: np.ndarray
-    raw_vectors: dict[str, np.ndarray] | None
+    field: FieldModel
+    states: dict[str, DynState]  # every formulation the initial mode can express
     steps_per_period: int
     periods: float
     record_every: int
@@ -147,37 +140,22 @@ class Scenario:
         # keep recording aligned with the final step
         return int(steps - steps % self.record_every)
 
-    def build_field(self) -> FieldModel:
-        if self.field_variant == "free":
-            return FreeField()
-        if self.field_variant == "uniform":
-            return UniformEB(e0=self.e0, b0=self.b0)
-        if self.field_variant == "coulomb":
-            return CoulombField(z_charge=self.z_charge, center=self.center)
-        raise ScenarioError(f"unknown field variant {self.field_variant!r}")
-
-    def build_states(self) -> dict[str, DynState]:
-        """Initial states for every formulation this scenario can express."""
-        if self.mode == "rest_spin":
-            vel = self.velocity if float(np.linalg.norm(self.velocity)) > 0 else None
-            return matched_initial_states(self.theta, self.phi, velocity=vel,
-                                          origin=self.origin, phase=self.phase)
-        assert self.raw_vectors is not None
-        pos = PositionState(**self.raw_vectors)
-        return {"position": pos, "spintensor": map_states(pos, "spintensor")}
-
     def initial_state(self, formulation: str | None = None) -> DynState:
         name = formulation or self.formulation
-        states = self.build_states()
-        if name not in states:
-            raise ScenarioError(
-                f"scenario {self.name!r} cannot build a {name!r} state "
-                f"(mode {self.mode!r})"
-            )
-        return states[name]
+        if name not in self.states:
+            raise ScenarioError(f"scenario {self.name!r} has no {name!r} initial state")
+        return self.states[name]
+
+
+def path_component(name: str, what: str) -> str:
+    """``name`` if it is one plain path component, so artifacts stay in --out."""
+    if name in ("", ".", "..") or "/" in name or "\0" in name:
+        raise ScenarioError(f"{what} must be one plain path component, got {name!r}")
+    return name
 
 
 def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
+    name = path_component(cp.get("scenario", "name"), "scenario.name")
     formulation = cp.get("scenario", "formulation").strip()
     if formulation not in FORMULATIONS + ("all",):
         raise ScenarioError(f"unknown formulation {formulation!r}")
@@ -209,27 +187,36 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
             f"run too long: periods * steps_per_period = {periods!r} * {steps_per_period!r} "
             "exceeds 2**53 steps"
         )
-    sc = Scenario(
-        name=cp.get("scenario", "name"),
-        formulation=formulation,
-        field_variant=cp.get("field", "variant").strip(),
-        e0=_parse_vector(cp.get("field", "e0"), 3, "field.e0"),
-        b0=_parse_vector(cp.get("field", "b0"), 3, "field.b0"),
-        z_charge=z_charge,
-        center=_parse_vector(cp.get("field", "center"), 3, "field.center"),
-        mode=mode,
-        theta=parse_angle(cp.get("initial", "theta")),
-        phi=parse_angle(cp.get("initial", "phi")),
-        phase=parse_angle(cp.get("initial", "phase")),
-        velocity=parse_velocity(cp.get("initial", "velocity"), "initial.velocity"),
-        origin=_parse_vector(cp.get("initial", "origin"), 4, "initial.origin"),
-        raw_vectors=raw,
-        steps_per_period=steps_per_period,
-        periods=periods,
-        record_every=record_every,
-        charge=charge,
-        tolerances=tolerances,
-    )
+    variant = cp.get("field", "variant").strip()
+    e0 = _parse_vector(cp.get("field", "e0"), 3, "field.e0")
+    b0 = _parse_vector(cp.get("field", "b0"), 3, "field.b0")
+    center = _parse_vector(cp.get("field", "center"), 3, "field.center")
+    theta = parse_angle(cp.get("initial", "theta"))
+    phi = parse_angle(cp.get("initial", "phi"))
+    phase = parse_angle(cp.get("initial", "phase"))
+    velocity = parse_velocity(cp.get("initial", "velocity"), "initial.velocity")
+    origin = _parse_vector(cp.get("initial", "origin"), 4, "initial.origin")
+    if variant == "free":
+        field = FreeField()
+    elif variant == "uniform":
+        field = UniformEB(e0=e0, b0=b0)
+    elif variant == "coulomb":
+        field = CoulombField(z_charge=z_charge, center=center)
+    else:
+        raise ScenarioError(f"unknown field variant {variant!r}")
+    try:  # the state classes reject what overflows, so numpy need not warn
+        with np.errstate(over="ignore", invalid="ignore"):
+            if raw is None:
+                states = matched_initial_states(theta, phi, velocity=velocity, origin=origin,
+                                                phase=phase)
+            else:
+                pos = PositionState(**raw)
+                states = {"position": pos, "spintensor": map_states(pos, "spintensor")}
+    except ValueError as exc:
+        raise ScenarioError(f"cannot build the initial states: {str(exc).split(':')[0]}") from None
+    sc = Scenario(name=name, formulation=formulation, field_variant=variant, field=field,
+                  states=states, steps_per_period=steps_per_period, periods=periods,
+                  record_every=record_every, charge=charge, tolerances=tolerances)
     if sc.n_steps == 0:
         raise ScenarioError(
             f"run has no steps: periods * steps_per_period = "

@@ -103,12 +103,12 @@ def is_observable(op: np.ndarray) -> bool:
     return bool(np.allclose(m, m.conj().T, rtol=0.0, atol=1e-12))
 
 
-def observable(state, op: np.ndarray, imag_tol: float = 1e-10) -> float:
+def observable(state, op: np.ndarray) -> float:
     """Real expectation value phibar op phi of an observable operator."""
     if not is_observable(op):
         raise ValueError("operator is not observable: gamma^0 op is not Hermitian")
     val = bilinear(state, op)
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
+    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise ValueError(f"expectation value has imaginary residue {val.imag}")
     return val.real
 
@@ -157,15 +157,15 @@ def state_derivative(state, pi: Vec4) -> Amplitudes:
     return (-1j / HBAR) * (hamiltonian(pi) @ _amps(state))
 
 
-def _require_on_shell(pi: Vec4, tol: float = 1e-8) -> None:
+def _require_on_shell(pi: Vec4) -> None:
     p2 = mdot(pi, pi)
-    if abs(p2 - (MASS * C) ** 2) > tol:
+    if abs(p2 - (MASS * C) ** 2) > 1e-8:
         raise ValueError(f"momentum is off shell: pi.pi = {p2}")
 
 
-def _require_normalized(amps: Amplitudes, pi: Vec4, tol: float = 1e-8) -> None:
+def _require_normalized(amps: Amplitudes, pi: Vec4) -> None:
     norm = normalization(amps, pi)
-    if abs(norm - REST_ENERGY) > tol:
+    if abs(norm - REST_ENERGY) > 1e-8:
         raise ValueError(f"amplitudes are not energy normalized: {norm}")
 
 

@@ -19,7 +19,7 @@ reported, not corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -226,18 +226,8 @@ class MeasurementReport:
         return (self.n_up - self.count * p) / sigma
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "phi": self.phi,
-            "device_axis": [float(v) for v in self.device_axis],
-            "count": self.count,
-            "seed": self.seed,
-            "n_up": self.n_up,
-            "n_dn": self.n_dn,
-            "p_up_theory": self.p_up_theory,
-            "p_up_hat": self.p_up_hat,
-            "z_score": self.z_score,
-        }
+        return {**asdict(self), "device_axis": [float(v) for v in self.device_axis],
+                "p_up_hat": self.p_up_hat, "z_score": self.z_score}
 
 
 def sample_measurements(

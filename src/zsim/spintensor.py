@@ -25,25 +25,25 @@ from .minkowski import METRIC, Vec4, antisymmetric_parts, lower, mdot, wedge
 from .states import PositionState
 
 
-def build_spin_tensor(z: Vec4, u: Vec4, mass: float = MASS) -> np.ndarray:
+def build_spin_tensor(z: Vec4, u: Vec4) -> np.ndarray:
     """S^{mu nu} = -m (z^mu u^nu - z^nu u^mu)."""
-    return -mass * wedge(z, u)
+    return -MASS * wedge(z, u)
 
 
-def accel_spin_tensor(u: Vec4, udot: Vec4, mass: float = MASS) -> np.ndarray:
+def accel_spin_tensor(u: Vec4, udot: Vec4) -> np.ndarray:
     """Equivalent acceleration form S = (m / w0^2) (udot ^ u)."""
-    return (mass / OMEGA0**2) * wedge(udot, u)
+    return (MASS / OMEGA0**2) * wedge(udot, u)
 
 
-def spin_vectors_direct(z: Vec4, u: Vec4, mass: float = MASS) -> tuple[np.ndarray, np.ndarray]:
+def spin_vectors_direct(z: Vec4, u: Vec4) -> tuple[np.ndarray, np.ndarray]:
     """(d, s) computed directly from z and u, bypassing the matrix.
 
     Accepts single four-vectors or stacks of shape (N, 4).
     """
     z = np.asarray(z)
     u = np.asarray(u)
-    d = mass * (u[..., 0:1] * z[..., 1:] - z[..., 0:1] * u[..., 1:])
-    s = mass * np.cross(z[..., 1:], u[..., 1:])
+    d = MASS * (u[..., 0:1] * z[..., 1:] - z[..., 0:1] * u[..., 1:])
+    s = MASS * np.cross(z[..., 1:], u[..., 1:])
     return d, s
 
 
@@ -92,7 +92,7 @@ def triad_residuals(spin: np.ndarray, u: Vec4) -> dict[str, float]:
     }
 
 
-def identity_suite(state: PositionState, mass: float = MASS) -> dict[str, float]:
+def identity_suite(state: PositionState) -> dict[str, float]:
     """Scaled residuals of the five contraction identities plus invariants.
 
     For a state satisfying the constraints every entry is zero:
@@ -109,16 +109,16 @@ def identity_suite(state: PositionState, mass: float = MASS) -> dict[str, float]
     z = state.z
     u = state.u
     pi = state.pi
-    spin = build_spin_tensor(z, u, mass)
+    spin = build_spin_tensor(z, u)
     udot = -(OMEGA0**2) * z
-    zdot = u - pi / mass
+    zdot = u - pi / MASS
 
     out = {
         "s_u": _scaled(spin @ lower(u), np.zeros(4)),
-        "s_udot": _scaled(spin @ lower(udot), mass * C**2 * u),
-        "s_pi": _scaled(spin @ lower(pi), -((mass * C) ** 2) * z),
+        "s_udot": _scaled(spin @ lower(udot), MASS * C**2 * u),
+        "s_pi": _scaled(spin @ lower(pi), -((MASS * C) ** 2) * z),
         "s_z": _scaled(spin @ lower(z), -(HBAR / (2.0 * OMEGA0)) * u),
-        "s_zdot": _scaled(spin @ lower(zdot), mass * C**2 * z),
+        "s_zdot": _scaled(spin @ lower(zdot), MASS * C**2 * z),
     }
     d, s = antisymmetric_parts(spin)
     out["scalar"] = _scaled(scalar_invariant(spin), 0.0)
@@ -152,7 +152,7 @@ class DipoleReport:
 
 
 def interaction_energy(
-    state: PositionState, model: FieldModel, q: float, mass: float = MASS
+    state: PositionState, model: FieldModel, q: float
 ) -> DipoleReport:
     """Interaction energy Phi = f.z and its dipole decomposition.
 
@@ -163,27 +163,27 @@ def interaction_energy(
     """
     e_vec, b_vec = model.eb_at(state.x)
     f = force_at(model, q, state.x, state.u)
-    spin = build_spin_tensor(state.z, state.u, mass)
+    spin = build_spin_tensor(state.z, state.u)
     d, s = antisymmetric_parts(spin)
 
     phi_force = float(mdot(f, state.z))
     f_tensor = field_tensor(e_vec, b_vec)
     spin_low = METRIC @ spin @ METRIC
-    phi_tensor = float(-(q / (2.0 * mass)) * np.sum(f_tensor * spin_low))
-    u_m = float(-(q / mass) * np.dot(b_vec, s))
-    u_e = float(-(q / (mass * C)) * np.dot(e_vec, d))
+    phi_tensor = float(-(q / (2.0 * MASS)) * np.sum(f_tensor * spin_low))
+    u_m = float(-(q / MASS) * np.dot(b_vec, s))
+    u_e = float(-(q / (MASS * C)) * np.dot(e_vec, d))
 
     energy = C * state.pi[0]
     vel = C**2 * state.pi[1:] / energy
     v2 = float(np.dot(vel, vel))
-    gamma_implied = float(np.sqrt((1.0 + (u_m + u_e) / (mass * C**2)) / (1.0 - v2 / C**2)))
+    gamma_implied = float(np.sqrt((1.0 + (u_m + u_e) / (MASS * C**2)) / (1.0 - v2 / C**2)))
 
     return DipoleReport(
         phi=phi_force,
         u_magnetic=u_m,
         u_electric=u_e,
-        magnetic_moment=(q / mass) * s,
-        electric_moment=(q / (mass * C)) * d,
+        magnetic_moment=(q / MASS) * s,
+        electric_moment=(q / (MASS * C)) * d,
         gamma_implied=gamma_implied,
         phi_via_force=phi_force,
         phi_via_tensor=phi_tensor,
@@ -192,7 +192,7 @@ def interaction_energy(
 
 
 def energy_diagnostics(
-    state: PositionState, model: FieldModel, q: float, mass: float = MASS
+    state: PositionState, model: FieldModel, q: float
 ) -> dict[str, float]:
     """Energy-equation residual and low-speed expansion terms.
 
@@ -204,22 +204,22 @@ def energy_diagnostics(
       -(q / (m^2 c^2)) (E x P).s / tdot, and ``u_electric_remainder`` the
       rest of U_e.
     """
-    report = interaction_energy(state, model, q, mass)
+    report = interaction_energy(state, model, q)
     phi = report.phi
     pi = state.pi
-    residual = float(mdot(pi, pi)) / mass - mass * C**2 - phi
+    residual = float(mdot(pi, pi)) / MASS - MASS * C**2 - phi
 
     energy = C * pi[0]
     vel = C**2 * pi[1:] / energy
     v2 = float(np.dot(vel, vel))
-    kinetic_error = energy - (mass * C**2 + 0.5 * mass * v2 + 0.5 * phi)
+    kinetic_error = energy - (MASS * C**2 + 0.5 * MASS * v2 + 0.5 * phi)
 
     e_vec, _ = model.eb_at(state.x)
-    spin = build_spin_tensor(state.z, state.u, mass)
+    spin = build_spin_tensor(state.z, state.u)
     _, s = antisymmetric_parts(spin)
     tdot = state.u[0] / C
     dominant = float(
-        -(q / (mass**2 * C**2)) * np.dot(np.cross(e_vec, pi[1:]), s) / tdot
+        -(q / (MASS**2 * C**2)) * np.dot(np.cross(e_vec, pi[1:]), s) / tdot
     )
     return {
         "energy_residual": residual,
@@ -227,7 +227,7 @@ def energy_diagnostics(
         "u_electric_dominant": dominant,
         "u_electric_remainder": report.u_electric - dominant,
         "gamma_implied": report.gamma_implied,
-        "gamma_momentum": float(pi[0] / (mass * C)),
+        "gamma_momentum": float(pi[0] / (MASS * C)),
     }
 
 
@@ -239,13 +239,13 @@ class AngularMomentum:
     total_vector: np.ndarray
 
 
-def angular_momentum(state: PositionState, mass: float = MASS) -> AngularMomentum:
+def angular_momentum(state: PositionState) -> AngularMomentum:
     """Orbital x ^ pi, spin, and conserved total J = L + S.
 
     The three-vector form is J = x cross P - s.
     """
     orbital = wedge(state.x, state.pi)
-    spin = build_spin_tensor(state.z, state.u, mass)
+    spin = build_spin_tensor(state.z, state.u)
     _, s = antisymmetric_parts(spin)
     total = orbital + spin
     j_vec = np.cross(state.x[1:], state.pi[1:]) - s

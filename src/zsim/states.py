@@ -94,9 +94,10 @@ def formulation_of(state: DynState) -> str:
 class Trajectory:
     """Sampled integration output for one formulation.
 
-    Arrays are indexed by sample; ``spins`` holds the six independent
-    spin-tensor components ordered (d1, d2, d3, s1, s2, s3).  ``us`` is
-    stored for every formulation (derived from phi for spinor runs).
+    Arrays are indexed by sample.  ``us`` and ``spins``, the six
+    independent spin-tensor components ordered (d1, d2, d3, s1, s2, s3),
+    are stored for every formulation (derived from z and u for position
+    runs, from phi for spinor runs).
     Residual arrays hold the per-sample constraint values, which are all
     zero for exact states:
 
@@ -111,8 +112,8 @@ class Trajectory:
     xs: np.ndarray
     us: np.ndarray
     pis: np.ndarray
+    spins: np.ndarray
     ys: np.ndarray | None = None
-    spins: np.ndarray | None = None
     phis: np.ndarray | None = None
     residuals: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -137,7 +138,6 @@ class Trajectory:
             assert self.ys is not None
             return PositionState(self.xs[i], self.us[i], self.ys[i], self.pis[i])
         if self.formulation == "spintensor":
-            assert self.spins is not None
             spin = antisymmetric_tensor(self.spins[i, :3], self.spins[i, 3:])
             return SpinTensorState(self.xs[i], self.us[i], spin, self.pis[i])
         if self.formulation == "spinor":

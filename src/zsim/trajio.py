@@ -44,7 +44,6 @@ def _block_array(traj: Trajectory) -> np.ndarray:
         assert traj.ys is not None
         return traj.ys
     if traj.formulation == "spintensor":
-        assert traj.spins is not None
         return traj.spins
     assert traj.phis is not None
     out = np.empty((len(traj), 8))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -240,20 +240,7 @@ class DensityReport:
     counts_sha256: str
 
     def to_dict(self) -> dict:
-        return {
-            "flow": self.flow,
-            "n": self.n,
-            "periods": self.periods,
-            "bins": self.bins,
-            "box": self.box,
-            "seed": self.seed,
-            "chi2": self.chi2,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "counts_min": self.counts_min,
-            "counts_max": self.counts_max,
-            "counts_sha256": self.counts_sha256,
-        }
+        return asdict(self)
 
 
 def _oscillation_coefficients(state0: PositionState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

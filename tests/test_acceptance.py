@@ -116,7 +116,7 @@ def test_criterion_01_free_oracle(free_runs):
 def test_criterion_02_equivalence_free(warmed_up):
     sc = load_scenario("free-boosted")
     rep, _ = compare_formulations(
-        sc.build_states(), sc.build_field(), sc.dt, sc.n_steps,
+        sc.states, sc.field, sc.dt, sc.n_steps,
         q=sc.charge, record_every=sc.record_every,
     )
     report("criterion 2 equivalence[free, boosted]", rep.overall,
@@ -126,7 +126,7 @@ def test_criterion_02_equivalence_free(warmed_up):
 def test_criterion_02_equivalence_weak_field(warmed_up):
     sc = load_scenario("uniform-b-weak")
     rep, _ = compare_formulations(
-        sc.build_states(), sc.build_field(), sc.dt, sc.n_steps,
+        sc.states, sc.field, sc.dt, sc.n_steps,
         q=sc.charge, record_every=sc.record_every,
     )
     report("criterion 2 equivalence[uniform B]", rep.overall,
@@ -142,8 +142,8 @@ def test_criterion_03_constraint_drift(free_runs, warmed_up):
         report(f"criterion 3 drift[free, {name}]", worst, 1e-8)
 
     sc = load_scenario("uniform-b-weak")
-    model = sc.build_field()
-    states = sc.build_states()
+    model = sc.field
+    states = sc.states
     for name in ("spintensor", "spinor"):
         traj = integrate(states[name], model, sc.dt, sc.n_steps,
                          q=sc.charge, record_every=sc.record_every)
@@ -156,7 +156,7 @@ def test_criterion_03_constraint_drift(free_runs, warmed_up):
           f"{pos_worst:.3e} (reported only; grows linearly with B)")
 
     sc400 = load_scenario("uniform-b-cyclotron")
-    traj = integrate(sc400.initial_state(), sc400.build_field(), sc400.dt,
+    traj = integrate(sc400.initial_state(), sc400.field, sc400.dt,
                      sc400.n_steps, q=sc400.charge,
                      record_every=sc400.record_every)
     worst = max(traj.max_residuals().values())
@@ -374,23 +374,23 @@ def test_criterion_11_uniform_field_frequencies(warmed_up):
     """Momentum rotation at the cyclotron rate (1% gate); spin precession
     at half the cyclotron rate (logged, 5% band)."""
     sc = load_scenario("uniform-b-cyclotron")
-    traj = integrate(sc.initial_state(), sc.build_field(), sc.dt, sc.n_steps,
+    traj = integrate(sc.initial_state(), sc.field, sc.dt, sc.n_steps,
                      q=sc.charge, record_every=sc.record_every)
     angles = np.unwrap(np.arctan2(traj.pis[:, 2], traj.pis[:, 1]))
     slope_lab = np.polyfit(traj.xs[:, 0], angles, 1)[0]
     gamma = traj.pis[0, 0] / (MASS * C)
-    b = float(sc.b0[2])
+    b = float(sc.field.b0[2])
     expected = abs(Q_ELECTRON) * b / (gamma * MASS)
     rel = abs(abs(slope_lab) - expected) / expected
     report("criterion 11 orbital frequency", rel, 0.01, "relative error")
 
     sc2 = load_scenario("uniform-b-precession")
-    traj2 = integrate(sc2.initial_state(), sc2.build_field(), sc2.dt,
+    traj2 = integrate(sc2.initial_state(), sc2.field, sc2.dt,
                       sc2.n_steps, q=sc2.charge, record_every=sc2.record_every)
     assert traj2.spins is not None
     s_angles = np.unwrap(np.arctan2(traj2.spins[:, 4], traj2.spins[:, 3]))
     slope_spin = np.polyfit(traj2.taus, s_angles, 1)[0]
-    half_cyclotron = abs(Q_ELECTRON) * float(sc2.b0[2]) / (2.0 * MASS)
+    half_cyclotron = abs(Q_ELECTRON) * float(sc2.field.b0[2]) / (2.0 * MASS)
     ratio = abs(slope_spin) / half_cyclotron
     ok = abs(ratio - 1.0) < 0.05
     print(f"{'PASS' if ok else 'FAIL'} criterion 11 precession (logged): "

@@ -151,6 +151,24 @@ def test_compare_jobs_report_byte_identical(tmp_path):
     assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_compare_pool_has_at_most_one_worker_per_formulation(tmp_path, monkeypatch):
+    """A fork-started process pool launches all max_workers at once, so a large
+    --jobs must not become that many processes; a thread pool stands in here."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    rc = main(["compare", "--scenario", "free-rest", "--jobs", "1000", "--out", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert sizes == [3]
+
+
 def test_cli_import_loads_no_scipy():
     """scipy is loaded only by the ensemble verb, never at import time."""
     src = str(Path(zsim.__file__).resolve().parents[1])
@@ -189,6 +207,9 @@ _BAD_INI = {
     "huge-compare-tol": "[scenario]\nformulation = all\n[tolerances]\ncompare = 1e300\n"
                         "[run]\nperiods = 0.01\n",
     "huge-run": "[scenario]\nformulation = position\n[run]\nperiods = 1e12\n",
+    "dipole": "[field]\nvariant = dipole\n",
+    "escaping-name": "[scenario]\nname = ../evil\nformulation = position\n"
+                     "[run]\nperiods = 0.01\n",
 }
 
 
@@ -225,18 +246,39 @@ _BAD_INI = {
         ["wave", "--scenario", "free-boosted", "--points", "5000000"],
         ["sample", "--theta", "1", "--count", str(10**17)],
         ["ensemble", "--n", str(10**17)],
+        # an unknown field variant is rejected at load, before --out is created
+        ["wave", "--scenario", "INI:dipole"],
+        # a name or tag that is not one path component would write outside --out
+        ["run", "--scenario", "INI:escaping-name"],
+        ["sample", "--theta", "1", "--count", "10", "--tag", "a/b"],
+        ["sample", "--theta", "1", "--count", "10", "--tag", ".."],
+        ["sample", "--theta", "1", "--count", "10", "--seed", "-1"],
+        ["ensemble", "--n", "10", "--seed", "-1"],
+        # an output directory that names an existing file
+        ["sample", "--theta", "1", "--count", "10", "--out", "FILE"],
+        ["sample", "--theta", "1", "--count", "10", "--out", "FILE/sub"],
+        ["ZSIM_OUT_DIR=FILE", "sample", "--theta", "1", "--count", "10"],
     ],
 )
-def test_bad_input_exits_2_with_one_error_line(tmp_path, argv):
-    argv = list(argv)
+def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, argv):
+    """Rejected input: exit 2, one error line, and no output directory or artifact."""
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    argv = [a.replace("FILE", str(a_file)) for a in argv]
+    if argv[0].startswith("ZSIM_OUT_DIR="):
+        monkeypatch.setenv("ZSIM_OUT_DIR", argv.pop(0).partition("=")[2])
+    elif "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out" / "a" / "b")]
     if argv[2].startswith("INI:"):
         path = tmp_path / "bad.ini"
         path.write_text(_BAD_INI[argv[2][4:]])
         argv[2] = str(path)
-    rc, stderr = _main_outcome(argv + ["--out", str(tmp_path)])
+    rc, stderr = _main_outcome(argv)
     assert rc == EXIT_USAGE
     assert len(_error_lines(stderr)) == 1, stderr
-    assert {p.name for p in tmp_path.iterdir()} <= {"bad.ini"}, "a rejected run writes nothing"
+    assert {p.name for p in tmp_path.iterdir()} <= {"bad.ini", "a-file"}, \
+        "a rejected run creates no output directory and writes nothing"
+    assert a_file.read_text() == ""
 
 
 def test_overflowing_residuals_exit_1_with_one_error_line(tmp_path):
@@ -250,7 +292,7 @@ def test_overflowing_residuals_exit_1_with_one_error_line(tmp_path):
     assert rc == EXIT_FAIL
     assert _error_lines(stderr) == [stderr.strip()], stderr
     assert "diverged" in stderr
-    assert list(out.iterdir()) == [], "a diverged run writes no summary"
+    assert not out.exists(), "a diverged run creates no output directory and writes no summary"
 
 
 _angle = st.sampled_from(["0", "pi", "pi/3", "-pi/2", "2*pi/3"]) | st.floats(-10, 10).map(repr)

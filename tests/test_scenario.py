@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zsim.constants import Q_ELECTRON, T0
+from zsim.dynamics import matched_initial_states
 from zsim.emfield import CoulombField, FreeField, UniformEB
 from zsim.scenario import (
     PRESETS,
@@ -14,6 +15,13 @@ from zsim.scenario import (
     preset_names,
 )
 from zsim.states import PositionState, SpinTensorState
+
+
+def _assert_states_equal(got: dict, want: dict) -> None:
+    assert list(got) == list(want)
+    for name, state in want.items():
+        for key, value in vars(state).items():
+            assert np.array_equal(getattr(got[name], key), value), (name, key)
 
 
 def test_parse_angle_forms():
@@ -39,28 +47,27 @@ def test_free_boosted_preset_values():
     sc = load_scenario("free-boosted")
     assert sc.formulation == "all"
     assert sc.field_variant == "free"
-    assert sc.theta == pytest.approx(np.pi / 3)
-    assert sc.phi == pytest.approx(0.4)
-    assert np.allclose(sc.velocity, [0.6, 0.0, 0.0])
+    _assert_states_equal(sc.states, matched_initial_states(
+        np.pi / 3, 0.4, velocity=np.array([0.6, 0.0, 0.0])))
     assert sc.steps_per_period == 1000
     assert sc.periods == 10
     assert sc.n_steps == 10_000
     assert sc.dt == pytest.approx(T0 / 1000)
     assert sc.charge == Q_ELECTRON
     assert sc.tolerances["compare"] == 1e-6
-    assert isinstance(sc.build_field(), FreeField)
+    assert isinstance(sc.field, FreeField)
 
 
 def test_field_variants_build():
-    assert isinstance(load_scenario("uniform-b-weak").build_field(), UniformEB)
-    coulomb = load_scenario("coulomb-orbit").build_field()
+    assert isinstance(load_scenario("uniform-b-weak").field, UniformEB)
+    coulomb = load_scenario("coulomb-orbit").field
     assert isinstance(coulomb, CoulombField)
     assert coulomb.z_charge == 1.0
 
 
 def test_scenario_states_match_formulations():
     sc = load_scenario("free-boosted")
-    states = sc.build_states()
+    states = sc.states
     assert set(states) == {"position", "spintensor", "spinor"}
     sc2 = load_scenario("uniform-b-cyclotron")
     assert isinstance(sc2.initial_state(), SpinTensorState)
@@ -87,10 +94,11 @@ record_every = 5
     )
     sc = load_scenario(str(path))
     assert sc.name == "custom"
-    assert sc.theta == pytest.approx(np.pi / 2)
+    _assert_states_equal(sc.states, matched_initial_states(
+        np.pi / 2, velocity=np.array([0.1, 0.0, 0.0])))
     assert sc.n_steps == 1000
     assert sc.dt == pytest.approx(T0 / 500)
-    assert np.allclose(sc.b0, [0, 0, 1e-6])
+    assert np.array_equal(sc.field.b0, [0, 0, 1e-6])
     assert isinstance(sc.initial_state("position"), PositionState)
 
 
@@ -108,11 +116,11 @@ phase = pi/2
 """
     )
     sc = load_scenario(str(path))
-    assert sc.phase == pytest.approx(np.pi / 2)
+    _assert_states_equal(sc.states, matched_initial_states(0.0, phase=np.pi / 2))
     state = sc.initial_state("position")
     assert np.allclose(state.u, [1.0, 0.0, 1.0, 0.0], atol=1e-14)
     assert np.allclose(state.z, [0.0, 0.5, 0.0, 0.0], atol=1e-14)
-    assert load_scenario("free-rest").phase == 0.0
+    _assert_states_equal(load_scenario("free-rest").states, matched_initial_states(0.0))
 
 
 def test_raw_initial_mode(tmp_path):
@@ -131,7 +139,7 @@ pi = 1 0 0 0
 """
     )
     sc = load_scenario(str(path))
-    states = sc.build_states()
+    states = sc.states
     assert set(states) == {"position", "spintensor"}
     assert np.allclose(states["position"].u, [1, 1, 0, 0])
     with pytest.raises(ScenarioError):
@@ -179,6 +187,15 @@ u = 1 1 0 0
         ("[run]\nperiods = 1e300\n", r"exceeds 2\*\*53 steps"),
         ("[run]\nperiods = 1e308\n", r"exceeds 2\*\*53 steps"),
         (f"[run]\nsteps_per_period = {10**60}\n", r"exceeds 2\*\*53 steps"),
+        # a name that is not one path component would put artifacts outside --out
+        ("[scenario]\nname = ../../evil\n", "one plain path component"),
+        ("[scenario]\nname = a/b\n", "one plain path component"),
+        ("[scenario]\nname = ..\n", "one plain path component"),
+        ("[scenario]\nname =\n", "one plain path component"),
+        ("[scenario]\nname = a\0b\n", "one plain path component"),
+        # finite raw vectors whose spin tensor overflows
+        ("[initial]\nmode = raw\nx = 0 0 -1e200 0\nu = 1e200 1e200 0 0\ny = 0 0 0 0\n"
+         "pi = 1 0 0 0\n", "cannot build the initial states"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, body, message):
@@ -196,9 +213,8 @@ def test_unknown_source_rejected():
 def test_unknown_field_variant_raises(tmp_path):
     path = tmp_path / "field.ini"
     path.write_text("[field]\nvariant = dipole\n")
-    sc = load_scenario(str(path))
     with pytest.raises(ScenarioError, match="unknown field variant"):
-        sc.build_field()
+        load_scenario(str(path))
 
 
 def test_n_steps_truncated_to_record_multiple(tmp_path):

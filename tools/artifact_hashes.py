@@ -5,7 +5,9 @@ Usage (from a checkout, with its ``src`` on the path):
     PYTHONPATH=src python3 tools/artifact_hashes.py OUTDIR
 
 Each call runs through ``zsim.cli.main`` in its own directory under
-OUTDIR.  ``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>``
+OUTDIR.  The INI scenarios below, written to OUTDIR first, cover what no
+preset uses: raw initial vectors, a zitter phase, an origin and an
+electric field.  ``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>``
 line naming the call and one ``<sha256>  <path>`` line per artifact,
 with paths relative to OUTDIR.  Run it on two checkouts and ``diff`` the
 two SHA256SUMS files to see which artifact bytes and exit codes changed.
@@ -28,6 +30,39 @@ COMPARED = ("free-rest", "free-boosted", "uniform-b-weak")  # formulation = all
 NEGATIVE = ["--no-validate", "--corrupt-momentum", "0.01"]
 EMITTED = ("free-boosted", "uniform-b-weak", "coulomb-orbit")
 EMIT_COLUMNS = {"position": ["x1", "u0"], "spintensor": ["x1", "s1"], "spinor": ["x1", "u0"]}
+INIS = {
+    # the valid raw state of tests/test_scenario.py::test_raw_initial_mode
+    "raw-all.ini": """[scenario]
+name = raw-all
+formulation = all
+[initial]
+mode = raw
+x = 0 0 -0.5 0
+u = 1 1 0 0
+y = 0 0 0 0
+pi = 1 0 0 0
+[run]
+periods = 2
+""",
+    "phased-e0.ini": """[scenario]
+name = phased-e0
+formulation = all
+[field]
+variant = uniform
+e0 = 2e-7 0 -1e-7
+[initial]
+theta = pi/3
+phi = 0.4
+phase = 2*pi/3
+velocity = 0.3 0 0.1
+origin = 0.5 1 -2 3
+[run]
+periods = 2
+[tolerances]
+drift = 1e-5
+compare = 1e-5
+""",
+}
 
 
 def calls() -> list[list[str]]:
@@ -49,6 +84,9 @@ def calls() -> list[list[str]]:
         out.append(["ensemble", "--flow", flow, "--seed", "0"])
     out.append(["wave", "--scenario", "free-boosted"])
     out.append(["wave", "--scenario", "free-boosted", "--axes", "x1 x3"])
+    for ini in INIS:
+        out.append(["run", "--scenario", ini])
+        out.append(["compare", "--scenario", ini])
     return out
 
 
@@ -58,11 +96,16 @@ def _slug(k: int, argv: list[str]) -> str:
 
 def main_hashes(outdir: Path) -> int:
     lines = []
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in INIS.items():
+        (outdir / name).write_text(text)
     for k, argv in enumerate(calls()):
         where = outdir / _slug(k, argv)
         where.mkdir(parents=True, exist_ok=True)
+        # INI paths resolve in OUTDIR but stay relative in SHA256SUMS
+        resolved = [str(outdir / a) if a in INIS else a for a in argv]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            rc = main([*argv, "--out", str(where)])
+            rc = main([*resolved, "--out", str(where)])
         lines.append(f"exit {rc}  {' '.join(argv)}")
         print(lines[-1], flush=True)
         for path in sorted(p for p in where.rglob("*") if p.is_file()):
