@@ -342,18 +342,26 @@ def cmd_wave(args) -> int:
 _SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "": lambda v: True}
 
 
-def _finite(kind, sign: str = "positive"):
+# Sizes share the scenario's step bound; --bins is bounded by its bins**3
+# histogram cells, 208063**3 <= 2**53 < 208064**3.
+_MAX_SIZE = 2**53
+_MAX_BINS = 208_063
+
+
+def _finite(kind, sign: str = "positive", most=None):
     """argparse converter that rejects NaN, infinities, ints beyond the float
-    range and, unless ``sign`` is empty, values that are not ``sign``."""
+    range, values above ``most`` and, unless ``sign`` is empty, values that
+    are not ``sign``."""
     def convert(text: str):
         value = kind(text)
         try:
             ok = math.isfinite(value) and _SIGNS[sign](value)
         except OverflowError:  # an int too large for a float
             ok = False
-        if not ok:
+        if not ok or (most is not None and value > most):
+            bound = f" at most {most}" if most is not None else ""
             raise argparse.ArgumentTypeError(f"must be a {sign + ' ' if sign else ''}finite "
-                                             f"{kind.__name__}, got {text!r}")
+                                             f"{kind.__name__}{bound}, got {text!r}")
         return value
 
     convert.__name__ = kind.__name__  # argparse names it in "invalid int value"
@@ -420,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--phi", default="0")
     p_sample.add_argument("--device-theta", default="0")
     p_sample.add_argument("--device-phi", default="0")
-    p_sample.add_argument("--count", type=_finite(int), default=100_000)
+    p_sample.add_argument("--count", type=_finite(int, most=_MAX_SIZE), default=100_000)
     p_sample.add_argument("--seed", type=_finite(int, "non-negative"), default=0)
     p_sample.add_argument("--tag", type=_tag, default="spin", help="artifact name suffix")
     p_sample.add_argument("--out", default=None)
@@ -428,10 +436,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ens = sub.add_parser("ensemble", help="density uniformity transport check")
     p_ens.add_argument("--flow", choices=["free", "corrupted"], default="free")
-    p_ens.add_argument("--n", type=_finite(int), default=100_000)
+    p_ens.add_argument("--n", type=_finite(int, most=_MAX_SIZE), default=100_000)
     p_ens.add_argument("--periods", type=_finite(float), default=10.0)
     p_ens.add_argument("--seed", type=_finite(int, "non-negative"), default=0)
-    p_ens.add_argument("--bins", type=_finite(int), default=16)
+    p_ens.add_argument("--bins", type=_finite(int, most=_MAX_BINS), default=16)
     p_ens.add_argument("--box", type=_finite(float), default=2.0)
     p_ens.add_argument("--alpha", type=_finite(float), default=0.01)
     p_ens.add_argument("--steps-per-period", type=_finite(int), default=50)

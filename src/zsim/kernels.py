@@ -13,17 +13,16 @@ happens every ``record_every`` steps into a caller-allocated array; the
 return value is -1 on success or the record index at which a non-finite
 state was detected.
 
-The array kernels are compiled with numba at import time when numba is
-installed.  Without it ``INTEGRATORS`` holds a separate pure-Python driver
-instead: one RK4 loop on Python floats (complex for the spinor) with scalar
-rhs functions that keep every floating-point operation of the array kernels
-in the same order, so its records and divergence indices are bit-identical
-to theirs (pinned by the test suite).  On one core of a 2-core machine
-(Python 3.11) it runs 100k steps in about 1.4-2.1 s (position, spin tensor)
-and 3.1-3.8 s (spinor), against 7-11 s for the array kernels run as plain
-Python.  Each backend has one RK4 driver that closes over a formulation's
-rhs (``_array_rk4``, ``_float_rk4``), and both evaluate the field with
-``_field_eb``.
+The array kernels, one RK4 driver (``_array_rk4``) closing over each rhs,
+are compiled with numba at import time when numba is installed.  Without
+it ``INTEGRATORS`` holds the pure-Python drivers that ``_fused_rk4``
+generates at import: one straight-line RK4 loop per formulation on Python
+scalars, the rhs inlined into each stage with every floating-point
+operation of the array kernels in order, so records and divergence
+indices are bit-identical to theirs (pinned by the test suite).  On one
+core of a 2-core machine (Python 3.11) criterion 1's 100k steps take
+0.5-0.7 s (position), 0.8-0.9 s (spin tensor) and 1.9-2.0 s (spinor),
+against 7-11 s for the array kernels run as plain Python.
 
 The equations of motion also exist at dataclass level in dynamics.deriv_*;
 the test suite pins agreement between the two implementations.
@@ -31,7 +30,9 @@ the test suite pins agreement between the two implementations.
 
 from __future__ import annotations
 
+import linecache
 import math
+import re
 
 import numpy as np
 
@@ -215,74 +216,70 @@ integrate_spintensor = _array_rk4(rhs_spintensor)
 integrate_spinor = _array_rk4(rhs_spinor)
 
 
-# The pure-Python path: scalar twins of the array rhs above, on Python floats.
-# Each expression keeps its operand order, so results match the array kernels
-# bit for bit; where Python raises and numpy returns inf (division by zero in
-# _field_eb, abs of a huge complex in _all_finite) the shared code says so.
+# The pure-Python path: each formulation's rhs written once as source over
+# its named state components, in the array rhs' operand order, assigning the
+# derivative of component n to k_n.
 
-_force_floats = getattr(_force, "py_func", _force)
-_field_eb_floats = getattr(_field_eb, "py_func", _field_eb)
+# the field at x and the Lorentz force on pi, _force inlined
+_LORENTZ = """e1, e2, e3, b1, b2, b3 = field_eb(fcode, fp, x1, x2, x3)
+k_p0 = q * (e1 * u1 + e2 * u2 + e3 * u3)
+k_p1 = q * (u0 * e1 + u2 * b3 - u3 * b2)
+k_p2 = q * (u0 * e2 + u3 * b1 - u1 * b3)
+k_p3 = q * (u0 * e3 + u1 * b2 - u2 * b1)"""
 
+_POSITION_RHS = f"""{_LORENTZ}
+k_x0 = u0
+k_x1 = u1
+k_x2 = u2
+k_x3 = u3
+k_u0 = {-_W0SQ!r} * (x0 - y0)
+k_u1 = {-_W0SQ!r} * (x1 - y1)
+k_u2 = {-_W0SQ!r} * (x2 - y2)
+k_u3 = {-_W0SQ!r} * (x3 - y3)
+k_y0 = p0
+k_y1 = p1
+k_y2 = p2
+k_y3 = p3
+"""
 
-def _rhs_position_floats(s, fcode, fp, q):
-    x0, x1, x2, x3, u0, u1, u2, u3, y0, y1, y2, y3, p0, p1, p2, p3 = s
-    e1, e2, e3, b1, b2, b3 = _field_eb_floats(fcode, fp, x1, x2, x3)
-    f0, f1, f2, f3 = _force_floats(q, e1, e2, e3, b1, b2, b3, u0, u1, u2, u3)
-    return (
-        u0, u1, u2, u3,
-        -_W0SQ * (x0 - y0), -_W0SQ * (x1 - y1), -_W0SQ * (x2 - y2), -_W0SQ * (x3 - y3),
-        p0, p1, p2, p3,
-        f0, f1, f2, f3,
-    )
+_SPINTENSOR_RHS = f"""{_LORENTZ}
+k_x0 = u0
+k_x1 = u1
+k_x2 = u2
+k_x3 = u3
+k_u0 = -4.0 * (d1 * p1 + d2 * p2 + d3 * p3)
+k_u1 = -4.0 * (d1 * p0 + s2 * p3 - s3 * p2)
+k_u2 = -4.0 * (d2 * p0 + s3 * p1 - s1 * p3)
+k_u3 = -4.0 * (d3 * p0 + s1 * p2 - s2 * p1)
+k_d1 = p0 * u1 - p1 * u0
+k_d2 = p0 * u2 - p2 * u0
+k_d3 = p0 * u3 - p3 * u0
+k_s1 = u2 * p3 - u3 * p2
+k_s2 = u3 * p1 - u1 * p3
+k_s3 = u1 * p2 - u2 * p1
+"""
 
-
-def _rhs_spintensor_floats(s, fcode, fp, q):
-    _, x1, x2, x3, u0, u1, u2, u3, p0, p1, p2, p3, d1, d2, d3, sv1, sv2, sv3 = s
-    e1, e2, e3, b1, b2, b3 = _field_eb_floats(fcode, fp, x1, x2, x3)
-    f0, f1, f2, f3 = _force_floats(q, e1, e2, e3, b1, b2, b3, u0, u1, u2, u3)
-    return (
-        u0, u1, u2, u3,
-        -4.0 * (d1 * p1 + d2 * p2 + d3 * p3),
-        -4.0 * (d1 * p0 + sv2 * p3 - sv3 * p2),
-        -4.0 * (d2 * p0 + sv3 * p1 - sv1 * p3),
-        -4.0 * (d3 * p0 + sv1 * p2 - sv2 * p1),
-        f0, f1, f2, f3,
-        p0 * u1 - p1 * u0,
-        p0 * u2 - p2 * u0,
-        p0 * u3 - p3 * u0,
-        u2 * p3 - u3 * p2,
-        u3 * p1 - u1 * p3,
-        u1 * p2 - u2 * p1,
-    )
-
-
-def _rhs_spinor_floats(s, fcode, fp, q):
-    _, x1, x2, x3, p0, p1, p2, p3, ph1, ph2, ph3, ph4 = s
-    p0 = p0.real
-    p1 = p1.real
-    p2 = p2.real
-    p3 = p3.real
-    c1 = ph1.conjugate()
-    c2 = ph2.conjugate()
-    c1ph4 = c1 * ph4
-    c2ph3 = c2 * ph3
-    u0 = (
-        ph1.real * ph1.real + ph1.imag * ph1.imag
-        + ph2.real * ph2.real + ph2.imag * ph2.imag
-        + ph3.real * ph3.real + ph3.imag * ph3.imag
-        + ph4.real * ph4.real + ph4.imag * ph4.imag
-    )
-    u1 = 2.0 * (c1ph4 + c2ph3).real
-    u2 = 2.0 * c1ph4.imag - 2.0 * c2ph3.imag
-    u3 = 2.0 * (c1 * ph3 - c2 * ph4).real
-    e1, e2, e3, b1, b2, b3 = _field_eb_floats(fcode, fp, x1.real, x2.real, x3.real)
-    f0, f1, f2, f3 = _force_floats(q, e1, e2, e3, b1, b2, b3, u0, u1, u2, u3)
-    ip2 = 1j * p2
-    h1 = p0 * ph1 - p1 * ph4 + ip2 * ph4 - p3 * ph3
-    h2 = p0 * ph2 - p1 * ph3 - ip2 * ph3 + p3 * ph4
-    h3 = -p0 * ph3 + p1 * ph2 - ip2 * ph2 + p3 * ph1
-    h4 = -p0 * ph4 + p1 * ph1 + ip2 * ph1 - p3 * ph2
-    return u0, u1, u2, u3, f0, f1, f2, f3, -1j * h1, -1j * h2, -1j * h3, -1j * h4
+_SPINOR_RHS = f"""
+c1 = ph1.conjugate()
+c2 = ph2.conjugate()
+c1ph4 = c1 * ph4
+c2ph3 = c2 * ph3
+k_x0 = u0 = (
+    ph1.real * ph1.real + ph1.imag * ph1.imag
+    + ph2.real * ph2.real + ph2.imag * ph2.imag
+    + ph3.real * ph3.real + ph3.imag * ph3.imag
+    + ph4.real * ph4.real + ph4.imag * ph4.imag
+)
+k_x1 = u1 = 2.0 * (c1ph4 + c2ph3).real
+k_x2 = u2 = 2.0 * c1ph4.imag - 2.0 * c2ph3.imag
+k_x3 = u3 = 2.0 * (c1 * ph3 - c2 * ph4).real
+{_LORENTZ}
+ip2 = 1j * p2
+k_ph1 = -1j * (p0 * ph1 - p1 * ph4 + ip2 * ph4 - p3 * ph3)
+k_ph2 = -1j * (p0 * ph2 - p1 * ph3 - ip2 * ph3 + p3 * ph4)
+k_ph3 = -1j * (-p0 * ph3 + p1 * ph2 - ip2 * ph2 + p3 * ph1)
+k_ph4 = -1j * (-p0 * ph4 + p1 * ph1 + ip2 * ph1 - p3 * ph2)
+"""
 
 
 def _all_finite(s):
@@ -294,40 +291,63 @@ def _all_finite(s):
         return False
 
 
-def _float_rk4(rhs):
-    """The RK4 driver of the pure-Python path, with the array kernels'
-    signature and return value, advancing ``rhs`` on Python scalars."""
+def _fused_rk4(formulation, names, rhs_template, real=""):
+    """Compile the pure-Python RK4 driver of ``formulation``, with the array
+    kernels' signature and return value: one loop with the state, the stage
+    states t_<n> and k1..k4 as locals, and ``rhs_template`` inlined per stage.
 
-    def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
-        s = state.tolist()
-        fp = fp.tolist()
-        out[0] = s
-        rec = 1
-        half = 0.5 * dt
-        sixth = dt / 6.0
-        for step in range(1, n_steps + 1):
-            k1 = rhs(s, fcode, fp, q)
-            k2 = rhs([a + half * k for a, k in zip(s, k1)], fcode, fp, q)
-            k3 = rhs([a + half * k for a, k in zip(s, k2)], fcode, fp, q)
-            k4 = rhs([a + dt * k for a, k in zip(s, k3)], fcode, fp, q)
-            s = [
-                a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-                for a, b1, b2, b3, b4 in zip(s, k1, k2, k3, k4)
-            ]
-            if step % record_every == 0:
-                if not _all_finite(s):
-                    return rec
-                out[rec] = s
-                rec += 1
-        return -1
-
-    return integrate
+    The rhs must not assign to a component's name.  Complex components named
+    in ``real`` have real derivatives, so the loop carries their real parts
+    as floats; a complex-plus-float add would leave imag + 0.0, which the
+    records restore."""
+    names, real, words = names.split(), real.split(), set(re.findall(r"\w+", rhs_template))
+    used = [n for n in names if n in words]
+    as_stage = re.compile(rf"\b({'|'.join(used)})\b")
+    lines = []
+    for j, step in enumerate(("half", "half", "dt", None), 1):
+        body = re.sub(r"\bk_", f"k{j}_", rhs_template.strip())
+        lines.append(as_stage.sub(r"t_\1", body) if j > 1 else body)
+        if step:  # the state the next stage evaluates
+            lines += [f"t_{n} = {n} + {step} * k{j}_{n}" for n in used]
+    state = ", ".join(names)
+    unpack = "".join(f"{n}_im = {n}.imag + 0.0\n    {n} = {n}.real\n    " for n in real)
+    record = ", ".join(f"complex({n}, {n}_im)" if n in real else n for n in names)
+    lines += [f"{n} = {n} + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"
+              for n in names]
+    loop = "\n".join(lines).replace("\n", "\n        ")
+    src = f"""def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
+    s = state.tolist()
+    fp = fp.tolist()
+    field_eb = getattr(_field_eb, "py_func", _field_eb)
+    out[0] = s
+    {state} = s
+    {unpack}rec = 1
+    half = 0.5 * dt
+    sixth = dt / 6.0
+    for step in range(1, n_steps + 1):
+        {loop}
+        if step % record_every == 0:
+            s = [{record}]
+            if not _all_finite(s):
+                return rec
+            out[rec] = s
+            rec += 1
+    return -1
+"""
+    filename = f"<zsim.kernels:{formulation}>"
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    scope = {}
+    exec(compile(src, filename, "exec"), globals(), scope)
+    return scope["integrate"]
 
 
 FLOAT_INTEGRATORS = {
-    "position": _float_rk4(_rhs_position_floats),
-    "spintensor": _float_rk4(_rhs_spintensor_floats),
-    "spinor": _float_rk4(_rhs_spinor_floats),
+    "position": _fused_rk4("position", "x0 x1 x2 x3 u0 u1 u2 u3 y0 y1 y2 y3 p0 p1 p2 p3",
+                           _POSITION_RHS),
+    "spintensor": _fused_rk4("spintensor", "x0 x1 x2 x3 u0 u1 u2 u3 p0 p1 p2 p3 d1 d2 d3 s1 s2 s3",
+                             _SPINTENSOR_RHS),
+    "spinor": _fused_rk4("spinor", "x0 x1 x2 x3 p0 p1 p2 p3 ph1 ph2 ph3 ph4", _SPINOR_RHS,
+                         real="x0 x1 x2 x3 p0 p1 p2 p3"),
 }
 
 INTEGRATORS = {

@@ -258,6 +258,12 @@ _BAD_INI = {
         ["sample", "--theta", "1", "--count", "10", "--out", "FILE"],
         ["sample", "--theta", "1", "--count", "10", "--out", "FILE/sub"],
         ["ZSIM_OUT_DIR=FILE", "sample", "--theta", "1", "--count", "10"],
+        # sizes past 2**53 (bins**3 cells for --bins), where numpy raises
+        # ValueError rather than MemoryError
+        ["sample", "--theta", "0.3", "--phi", "0.1", "--count", str(10**19)],
+        ["ensemble", "--n", str(10**19)],
+        ["sample", "--theta", "0.3", "--phi", "0.1", "--count", str(2**63 - 1)],
+        ["ensemble", "--n", "1000", "--bins", "3000000"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, argv):

@@ -292,6 +292,37 @@ def test_conservation_uniform_field_spintensor():
         assert drift[key] < 1e-10, f"{key} residual {drift[key]}"
 
 
+@pytest.mark.parametrize("formulation", ["position", "spintensor", "spinor"])
+def test_uniform_field_linear_invariant(formulation):
+    """pi - q F x is conserved in a uniform field, to round-off.
+
+    pi' = q F u = q F x' makes pi - q F x a linear invariant of all three
+    formulations, and RK4 keeps linear invariants exactly in exact
+    arithmetic.  In floating point each step rounds the updates pi + dpi
+    and x + dx, by at most eps/2 of |pi| and of |x|; through q F the
+    latter moves the invariant by at most eps/2 |q| |F| |x|, with |F| the
+    largest row sum of |F|.  The rounding of the increments themselves is
+    smaller by dt |f| / |pi|.  So each step moves the invariant by at most
+    eps * scale, scale = |pi| + |q| |F| |x|.  As a random walk of n steps
+    with errors uniform in +-eps * scale / 2 per term, the drift has
+    sigma <= 0.41 sqrt(n) eps scale, and k = 2 in k sqrt(n) eps scale is
+    a 5-sigma bound.  Measured over 40k steps: 48, 35 and 33 eps * scale
+    (position, spin tensor, spinor), against 400.
+    """
+    e0, b0 = np.array([2e-7, 0.0, -1e-7]), np.array([0.0, 0.0, 1e-3])
+    state = matched_initial_states(0.0, 0.0, velocity=np.array([0.25, 0.0, 0.0]))[formulation]
+    n = 40_000
+    traj = integrate(state, UniformEB(e0=e0, b0=b0), T0 / 1000, n, record_every=200)
+    x, pi = traj.xs, traj.pis
+    fx = np.empty_like(x)
+    fx[:, 0] = x[:, 1:] @ e0
+    fx[:, 1:] = x[:, :1] * e0 + np.cross(x[:, 1:], b0)
+    drift = np.abs(pi - Q_ELECTRON * fx - (pi[0] - Q_ELECTRON * fx[0])).max()
+    f_norm = np.abs(e0).sum() + np.abs(b0).sum()
+    scale = np.abs(pi).max() + abs(Q_ELECTRON) * f_norm * np.abs(x).max()
+    assert drift <= 2.0 * np.sqrt(n) * np.finfo(float).eps * scale, drift
+
+
 def test_fourth_order_equation_of_motion():
     """Sampled runs satisfy the one-variable form of the dynamics.
 

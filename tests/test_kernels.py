@@ -12,7 +12,7 @@ import pytest
 
 from zsim import kernels
 from zsim.constants import Q_ELECTRON, T0
-from zsim.dynamics import matched_initial_states, pack_state
+from zsim.dynamics import matched_initial_states, pack_state, unpack_state
 
 FORMULATIONS = ("position", "spintensor", "spinor")
 ARRAY_KERNELS = {
@@ -28,9 +28,26 @@ FIELDS = {
     "uniform": (kernels.FIELD_UNIFORM, np.array([1e-4, 0.0, 0.0, 0.0, 0.0, 2e-3])),
     "coulomb": (kernels.FIELD_COULOMB, np.array([1.0, 0.0, 30.0, 0.0])),
 }
+# spatial u and pi, and d and s, in each packed layout
+SPATIAL = {"position": np.r_[5:8, 13:16], "spintensor": np.r_[5:8, 9:18],
+           "spinor": np.r_[5:8]}
+
+
+def signed_zeros(states):
+    """The states with -0.0 for every zero of spatial u, pi, d and s."""
+    out = {}
+    for name, state in states.items():
+        s = pack_state(state)
+        s[SPATIAL[name]] = np.where(s[SPATIAL[name]] == 0, -0.0, s[SPATIAL[name]])
+        out[name] = unpack_state(name, s)
+        assert pack_state(out[name]).tobytes() == s.tobytes()
+    return out
+
+
 STATES = {
     "boosted": lambda: matched_initial_states(np.pi / 3, 0.4, velocity=np.array([0.6, 0.0, 0.0])),
     "rest-theta0": lambda: matched_initial_states(0.0, 0.0),
+    "rest-signed-zeros": lambda: signed_zeros(matched_initial_states(0.0, 0.0)),
 }
 
 
@@ -58,6 +75,11 @@ def test_float_driver_matches_array_kernels(name, which, field):
     fcode, fparams = FIELDS[field]
     state = packed(STATES[which](), name)
     assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3) == -1
+    for n in (1, 7):  # a record after every step, and only after the last
+        assert run_both(name, state, fcode, fparams, T0 / 1000, n, n) == -1
+    if name == "spinor":  # imaginary parts of x and pi, which no rhs reads
+        state[:8] += 1j * np.linspace(-2.0, 3.0, 8)
+        assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3) == -1
 
 
 @pytest.mark.parametrize("name", FORMULATIONS)

@@ -7,9 +7,12 @@ Usage (from a checkout, with its ``src`` on the path):
 Each call runs through ``zsim.cli.main`` in its own directory under
 OUTDIR.  The INI scenarios below, written to OUTDIR first, cover what no
 preset uses: raw initial vectors, a zitter phase, an origin and an
-electric field.  ``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>``
-line naming the call and one ``<sha256>  <path>`` line per artifact,
-with paths relative to OUTDIR.  Run it on two checkouts and ``diff`` the
+electric field, and a step too coarse for RK4 (the position and
+spin-tensor runs diverge).
+``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>`` line
+naming the call and its ``error:`` line, if any (so the divergence tau
+is compared too), and one ``<sha256>  <path>`` line per artifact, with
+paths relative to OUTDIR.  Run it on two checkouts and ``diff`` the
 two SHA256SUMS files to see which artifact bytes and exit codes changed.
 """
 
@@ -62,6 +65,18 @@ periods = 2
 drift = 1e-5
 compare = 1e-5
 """,
+    # two steps per period is past RK4's stability limit for the zitter motion
+    "diverging.ini": """[scenario]
+name = diverging
+[initial]
+theta = pi/3
+phi = 0.4
+velocity = 0.3 0 0.1
+[run]
+steps_per_period = 2
+periods = 400
+record_every = 1
+""",
 }
 
 
@@ -84,9 +99,11 @@ def calls() -> list[list[str]]:
         out.append(["ensemble", "--flow", flow, "--seed", "0"])
     out.append(["wave", "--scenario", "free-boosted"])
     out.append(["wave", "--scenario", "free-boosted", "--axes", "x1 x3"])
-    for ini in INIS:
+    for ini in ("raw-all.ini", "phased-e0.ini"):
         out.append(["run", "--scenario", ini])
         out.append(["compare", "--scenario", ini])
+    for f in ("position", "spintensor", "spinor"):
+        out.append(["run", "--scenario", "diverging.ini", "--formulation", f])
     return out
 
 
@@ -104,9 +121,11 @@ def main_hashes(outdir: Path) -> int:
         where.mkdir(parents=True, exist_ok=True)
         # INI paths resolve in OUTDIR but stay relative in SHA256SUMS
         resolved = [str(outdir / a) if a in INIS else a for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             rc = main([*resolved, "--out", str(where)])
-        lines.append(f"exit {rc}  {' '.join(argv)}")
+        errors = [e for e in stderr.getvalue().splitlines() if e.startswith("error:")]
+        lines.append("  ".join([f"exit {rc}", " ".join(argv), *errors]))
         print(lines[-1], flush=True)
         for path in sorted(p for p in where.rglob("*") if p.is_file()):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
