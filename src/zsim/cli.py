@@ -2,7 +2,8 @@
 
 Verbs:
 
-* run      integrate a scenario, export the trajectory and a summary
+* run      integrate a scenario, export the trajectory and a summary,
+           and print one drift PASS/FAIL line per formulation
 * verify   run a scenario and check its tolerances (PASS/FAIL lines),
            or check the analytic identity batteries (--suite identities)
 * compare  integrate all formulations from matched ICs, report divergence
@@ -100,6 +101,13 @@ def _drift_value(traj: Trajectory) -> float:
     return max(abs(v) for v in traj.max_residuals().values())
 
 
+def _check(name: str, value: float, tol: float) -> bool:
+    """Print one ``PASS|FAIL <name>: <value> <= <tol>`` line; True on PASS."""
+    ok = value <= tol
+    print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} <= {tol:.3e}")
+    return ok
+
+
 def cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
     drift_tol = _tolerance(sc, "drift", args.tol_scale)
@@ -127,7 +135,7 @@ def cmd_run(args) -> int:
         summary["drift"] = _drift_value(traj)
         summary["drift_tolerance"] = drift_tol
         trajio.write_json_report(out / f"{stem}-summary.json", summary)
-        if summary["drift"] > drift_tol:
+        if not _check(f"drift[{formulation}]", summary["drift"], drift_tol):
             status = EXIT_FAIL
     return status
 
@@ -177,12 +185,8 @@ def cmd_verify(args) -> int:
             report = dynamics.compare_trajectories(trajs)
             checks.append(("equivalence", report.overall,
                            _tolerance(sc, "compare", scale)))
-    failed = False
-    for name, value, tol in checks:
-        ok = value <= tol
-        failed = failed or not ok
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} <= {tol:.3e}")
-    return EXIT_FAIL if failed else EXIT_OK
+    passed = [_check(*c) for c in checks]  # a line per check, failed or not
+    return EXIT_OK if all(passed) else EXIT_FAIL
 
 
 def _compare_worker(payload: tuple[str, str, float, bool]) -> tuple[str, Trajectory]:
@@ -223,8 +227,7 @@ def cmd_compare(args) -> int:
     }
     out = _out_dir(args)
     trajio.write_json_report(out / f"{sc.name}-compare.json", payload)
-    print(f"{'PASS' if payload['pass'] else 'FAIL'} equivalence[{sc.name}]: "
-          f"{report.overall:.3e} <= {tol:.3e}")
+    _check(f"equivalence[{sc.name}]", report.overall, tol)
     return EXIT_OK if payload["pass"] else EXIT_FAIL
 
 
@@ -389,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", required=scenario_required,
                        help="preset name or INI file path")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--tol-scale", type=_finite(float), default=1.0,
-                       help="multiply all tolerances")
 
     p_run = sub.add_parser("run", help="integrate and export a trajectory")
     common(p_run)
@@ -415,6 +416,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale the position-formulation momentum by 1+x "
                             "(negative control; use with --no-validate)")
     p_cmp.set_defaults(func=cmd_compare)
+    for p in (p_run, p_verify, p_cmp):
+        p.add_argument("--tol-scale", type=_finite(float), default=1.0,
+                       help="multiply all tolerances")
 
     p_emit = sub.add_parser("emit", help="export selected columns as CSV")
     p_emit.add_argument("columns", nargs="+",

@@ -31,7 +31,8 @@ Angles accept plain floats or simple multiples of pi ("pi/3", "2*pi/3",
 zitter phase and boost (mode rest_spin) or raw four-vectors x, u, y, pi
 (mode raw, which supports the position and spin-tensor formulations
 only).  ``phase`` rotates the starting point on the zitter circle; the
-default 0 starts with the internal velocity along the first axis.
+default 0 starts with the internal velocity along the first axis.  An
+unknown section or key is an error.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ _DEFAULTS = {
             "charge": str(Q_ELECTRON)},
     "tolerances": {"oracle": "1e-8", "drift": "1e-8", "compare": "1e-6"},
 }
+_RAW_KEYS = ("x", "u", "y", "pi")  # [initial] vectors of raw mode
 
 
 def _finite(value: float, what: str) -> float:
@@ -155,6 +157,15 @@ def path_component(name: str, what: str) -> str:
 
 
 def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
+    # a misspelt name would silently keep its default; [DEFAULT] keys reach every section
+    for section in ([cp.default_section] if cp.defaults() else []) + cp.sections():
+        if section not in _DEFAULTS:
+            raise ScenarioError(f"unknown section [{section}]; known: {', '.join(_DEFAULTS)}")
+        known = [*_DEFAULTS[section], *(_RAW_KEYS if section == "initial" else ())]
+        unknown = [k for k in cp.options(section) if k not in known]
+        if unknown:
+            raise ScenarioError(f"unknown key {unknown[0]!r} in [{section}]; "
+                                f"known: {', '.join(known)}")
     name = path_component(cp.get("scenario", "name"), "scenario.name")
     formulation = cp.get("scenario", "formulation").strip()
     if formulation not in FORMULATIONS + ("all",):
@@ -162,11 +173,11 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
     mode = cp.get("initial", "mode").strip()
     raw = None
     if mode == "raw":
-        missing = [k for k in ("x", "u", "y", "pi") if not cp.has_option("initial", k)]
+        missing = [k for k in _RAW_KEYS if not cp.has_option("initial", k)]
         if missing:
             raise ScenarioError(f"raw initial mode needs vectors {missing}")
         raw = {k: _parse_vector(cp.get("initial", k), 4, f"initial.{k}")
-               for k in ("x", "u", "y", "pi")}
+               for k in _RAW_KEYS}
     elif mode != "rest_spin":
         raise ScenarioError(f"unknown initial mode {mode!r}")
     try:

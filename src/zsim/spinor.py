@@ -37,7 +37,6 @@ GAMMA0 = np.block([[_I2, _Z2], [_Z2, -_I2]])
 GAMMA = [GAMMA0] + [
     np.block([[_Z2, s], [-s, _Z2]]) for s in PAULI
 ]
-GAMMA5 = np.block([[_Z2, _I2], [_I2, _Z2]])
 
 #: Velocity operators u^mu = c gamma^mu.
 U_OP = [C * g for g in GAMMA]

@@ -210,6 +210,12 @@ _BAD_INI = {
     "dipole": "[field]\nvariant = dipole\n",
     "escaping-name": "[scenario]\nname = ../evil\nformulation = position\n"
                      "[run]\nperiods = 0.01\n",
+    # misspelt keys and sections, which would run with their defaults
+    "typo-key": "[run]\nperiod = 0.01\nstep_per_period = 10\n",
+    "typo-section": "[feild]\nvariant = uniform\nb0 = 0 0 1e-3\n[run]\nperiods = 0.01\n",
+    "typo-tolerance": "[tolerances]\ndrfit = 1e-30\n[run]\nperiods = 0.01\n",
+    # every section already sets its keys, so a [DEFAULT] value is never read
+    "default-section": "[DEFAULT]\nperiods = 0.01\n",
 }
 
 
@@ -264,6 +270,13 @@ _BAD_INI = {
         ["ensemble", "--n", str(10**19)],
         ["sample", "--theta", "0.3", "--phi", "0.1", "--count", str(2**63 - 1)],
         ["ensemble", "--n", "1000", "--bins", "3000000"],
+        ["run", "--scenario", "INI:typo-key"],
+        ["run", "--scenario", "INI:typo-section"],
+        ["run", "--scenario", "INI:typo-tolerance"],
+        ["run", "--scenario", "INI:default-section"],
+        # only run, verify and compare read tolerances
+        ["emit", "x1", "--scenario", "free-boosted", "--tol-scale", "2"],
+        ["wave", "--scenario", "free-boosted", "--tol-scale", "2"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, argv):
@@ -285,6 +298,16 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, argv):
     assert {p.name for p in tmp_path.iterdir()} <= {"bad.ini", "a-file"}, \
         "a rejected run creates no output directory and writes nothing"
     assert a_file.read_text() == ""
+
+
+def test_run_says_why_it_fails(tmp_path, capsys):
+    """A run over its drift tolerance exits 1 with one FAIL line naming the check."""
+    path = tmp_path / "strict.ini"
+    path.write_text("[tolerances]\ndrift = 1e-300\n[run]\nperiods = 0.01\n")
+    rc = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_FAIL
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(lines) == 1 and lines[0].startswith("FAIL drift[position]: "), lines
 
 
 def test_overflowing_residuals_exit_1_with_one_error_line(tmp_path):

@@ -261,17 +261,43 @@ def _corrupted_flow_reference(x0, tau0, drift, osc_a, osc_b, pvec, span, n_steps
 
 @pytest.mark.parametrize("n", [5, 2 * wavefield._FLOW_BLOCK + 37])
 def test_corrupted_flow_numpy_matches_reference(n):
-    """The blocked out= loop of the corrupted flow is the reference loop
-    byte for byte, also across a partial last block."""
-    state = matched_initial_states(1.1, 0.4, velocity=np.array([0.3, -0.2, 0.4]))["position"]
-    drift, osc_a, osc_b = wavefield._oscillation_coefficients(state)
-    x0 = np.random.default_rng(3).random((n, 3)) * 2.0
-    tau0 = -(x0 @ state.pi[1:]) / (MASS * C**2)
-    args = (x0, tau0, drift, osc_a, osc_b, state.pi[1:], 1.5 * T0, 75)
-    got = wavefield._corrupted_flow(*args)
-    want = _corrupted_flow_reference(*args)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
+    """The phase-only corrupted flow is the reference loop up to the rounding
+    of its x sums, also across a partial last block, where the phase locks
+    (R > 1) and where it winds (R < 1).
+
+    The phases are bit-identical, so both compute the same stage cosines c
+    and sines s.  With N steps, M = max(|drift| + |a| + |b|) over the
+    components and X = max|x0| + span M, which bounds every |x|, to first
+    order in eps:
+    - the reference rounds x once per step (eps X) and each step's
+      (h/6)(k1x + 2 k2x + 2 k3x + k4x) to 8 eps h M (3 eps M per k, 14 eps M
+      in the three additions, 2 eps h M in the two products): N eps X +
+      8 eps span M in all;
+    - the change sums 4N exact terms w c and w s (w = 1 or 2) into C and S;
+      the partial sums stay below 6N, so each is off by at most 4N eps 6N,
+      which (h/6)(|a| + |b|) turns into 4N eps span M.  N h differs from
+      span by eps span, and the closing expression adds 4 eps span M +
+      2 eps X: (4N + 6) eps span M + 2 eps X in all.
+    """
+    eps = np.finfo(np.float64).eps
+    span = 1.5 * T0
+    for (theta, phi, v), locks in (((1.1, 0.4, [0.3, -0.2, 0.4]), True),
+                                   ((0.0, 0.0, [0.3, 0.1, 0.0]), False)):
+        state = matched_initial_states(theta, phi, velocity=np.array(v))["position"]
+        drift, osc_a, osc_b = wavefield._oscillation_coefficients(state)
+        pvec = state.pi[1:]
+        assert (np.hypot(2.0 * pvec @ osc_a, 2.0 * pvec @ osc_b) > 1.0) == locks
+        x0 = np.random.default_rng(3).random((n, 3)) * 2.0
+        tau0 = -(x0 @ pvec) / (MASS * C**2)
+        m = (np.abs(drift) + np.abs(osc_a) + np.abs(osc_b)).max()
+        x_max = np.abs(x0).max() + span * m
+        for n_steps in (75, 500):
+            args = (x0, tau0, drift, osc_a, osc_b, pvec, span, n_steps)
+            got = wavefield._corrupted_flow(*args)
+            want = _corrupted_flow_reference(*args)
+            assert got.shape == want.shape
+            bound = eps * ((n_steps + 2) * x_max + (4 * n_steps + 14) * span * m)
+            assert np.abs(got - want).max() <= bound
 
 
 def test_ensemble_rejects_bad_arguments():

@@ -97,6 +97,10 @@ def calls() -> list[list[str]]:
                 "--tag", "tilted"])
     for flow in ("free", "corrupted"):
         out.append(["ensemble", "--flow", flow, "--seed", "0"])
+    # the corrupted flow where the zitter phase winds (the default velocity locks it),
+    # with a partial last block of particles
+    out.append(["ensemble", "--flow", "corrupted", "--velocity", "0.3 0.1 0", "--n", "20000",
+                "--periods", "2", "--bins", "8", "--seed", "3"])
     out.append(["wave", "--scenario", "free-boosted"])
     out.append(["wave", "--scenario", "free-boosted", "--axes", "x1 x3"])
     for ini in ("raw-all.ini", "phased-e0.ini"):
