@@ -88,15 +88,6 @@ def _run_one(sc: Scenario, formulation: str, corrupt_momentum: float = 0.0,
     return traj
 
 
-def _tolerance(sc: Scenario, key: str, scale: float) -> float:
-    """A scenario tolerance times --tol-scale; an overflow is a usage error."""
-    tol = sc.tolerances[key] * scale
-    if not math.isfinite(tol):
-        raise ScenarioError(f"tolerances.{key} * --tol-scale overflows: "
-                            f"{sc.tolerances[key]!r} * {scale!r}")
-    return tol
-
-
 def _drift_value(traj: Trajectory) -> float:
     return max(abs(v) for v in traj.max_residuals().values())
 
@@ -110,7 +101,7 @@ def _check(name: str, value: float, tol: float) -> bool:
 
 def cmd_run(args) -> int:
     sc = load_scenario(args.scenario)
-    drift_tol = _tolerance(sc, "drift", args.tol_scale)
+    drift_tol = sc.tolerances["drift"]
     status = EXIT_OK
     for formulation in ([args.formulation] if args.formulation else _scenario_formulations(sc)):
         traj = _run_one(sc, formulation)
@@ -140,7 +131,7 @@ def cmd_run(args) -> int:
     return status
 
 
-def _identity_checks(scale: float) -> list[tuple[str, float, float]]:
+def _identity_checks() -> list[tuple[str, float, float]]:
     """Analytic identity batteries on a deterministic grid of states."""
     rng = np.random.default_rng(0)
     worst_tensor = 0.0
@@ -157,16 +148,15 @@ def _identity_checks(scale: float) -> list[tuple[str, float, float]]:
         worst_operator = max(worst_operator,
                              max(spinor.operator_identity_suite(state.pi).values()))
     return [
-        ("identities[spintensor]", worst_tensor, 1e-10 * scale),
-        ("identities[operator]", worst_operator, 1e-13 * scale),
+        ("identities[spintensor]", worst_tensor, 1e-10),
+        ("identities[operator]", worst_operator, 1e-13),
     ]
 
 
 def cmd_verify(args) -> int:
-    scale = args.tol_scale
     checks: list[tuple[str, float, float]] = []
     if args.suite == "identities":
-        checks = _identity_checks(scale)
+        checks = _identity_checks()
     else:
         if args.scenario is None:
             raise ScenarioError("verify --suite scenario needs --scenario")
@@ -175,16 +165,13 @@ def cmd_verify(args) -> int:
         for formulation in _scenario_formulations(sc):
             traj = _run_one(sc, formulation)
             trajs[formulation] = traj
-            checks.append((f"drift[{formulation}]", _drift_value(traj),
-                           _tolerance(sc, "drift", scale)))
+            checks.append((f"drift[{formulation}]", _drift_value(traj), sc.tolerances["drift"]))
             if sc.field_variant == "free":
                 err = dynamics.oracle_errors(traj, sc.initial_state("position"))
-                checks.append((f"oracle[{formulation}]", err["overall"],
-                               _tolerance(sc, "oracle", scale)))
+                checks.append((f"oracle[{formulation}]", err["overall"], sc.tolerances["oracle"]))
         if len(trajs) > 1:
             report = dynamics.compare_trajectories(trajs)
-            checks.append(("equivalence", report.overall,
-                           _tolerance(sc, "compare", scale)))
+            checks.append(("equivalence", report.overall, sc.tolerances["compare"]))
     passed = [_check(*c) for c in checks]  # a line per check, failed or not
     return EXIT_OK if all(passed) else EXIT_FAIL
 
@@ -215,7 +202,7 @@ def cmd_compare(args) -> int:
         trajs = {f: _run_one(sc, f, args.corrupt_momentum, validate) for f in formulations}
     _timing(f"compare {sc.name}: {time.perf_counter() - t0:.2f}s")
     report = dynamics.compare_trajectories(trajs)
-    tol = _tolerance(sc, "compare", args.tol_scale)
+    tol = sc.tolerances["compare"]
     payload = {
         "scenario": sc.name,
         "field": sc.field_variant,
@@ -277,11 +264,14 @@ def cmd_sample(args) -> int:
     return EXIT_OK if abs(report.z_score) <= 5.0 else EXIT_FAIL
 
 
+# criterion 10's significance level: a p-value below it rejects uniformity
+ENSEMBLE_ALPHA = 0.01
+
+
 def cmd_ensemble(args) -> int:
-    velocity = parse_velocity(args.velocity, "--velocity")
-    vel = velocity if float(np.linalg.norm(velocity)) > 0 else None
     state = dynamics.matched_initial_states(
-        parse_angle(args.theta), parse_angle(args.phi), velocity=vel
+        parse_angle(args.theta), parse_angle(args.phi),
+        velocity=parse_velocity(args.velocity, "--velocity"),
     )["position"]
     t0 = time.perf_counter()
     report = wavefield.ensemble_uniformity(
@@ -292,13 +282,12 @@ def cmd_ensemble(args) -> int:
         bins=args.bins,
         box=args.box,
         flow=args.flow,
-        steps_per_period=args.steps_per_period,
     )
     _timing(f"ensemble {args.flow}: {time.perf_counter() - t0:.2f}s")
     payload = report.to_dict()
-    uniform = report.p_value >= args.alpha
+    uniform = report.p_value >= ENSEMBLE_ALPHA
     expected_uniform = args.flow == "free"
-    payload["alpha"] = args.alpha
+    payload["alpha"] = ENSEMBLE_ALPHA
     payload["uniform"] = bool(uniform)
     payload["pass"] = bool(uniform == expected_uniform)
     out = _out_dir(args)
@@ -345,10 +334,12 @@ def cmd_wave(args) -> int:
 _SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "": lambda v: True}
 
 
-# Sizes share the scenario's step bound; --bins is bounded by its bins**3
-# histogram cells, 208063**3 <= 2**53 < 208064**3.
+# Sizes share the scenario's step bound; --bins and --points are bounded by
+# their bins**3 histogram cells and points**2 grid events:
+# 208063**3 <= 2**53 < 208064**3 and 94906265 = isqrt(2**53).
 _MAX_SIZE = 2**53
 _MAX_BINS = 208_063
+_MAX_POINTS = 94_906_265
 
 
 def _finite(kind, sign: str = "positive", most=None):
@@ -416,9 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale the position-formulation momentum by 1+x "
                             "(negative control; use with --no-validate)")
     p_cmp.set_defaults(func=cmd_compare)
-    for p in (p_run, p_verify, p_cmp):
-        p.add_argument("--tol-scale", type=_finite(float), default=1.0,
-                       help="multiply all tolerances")
 
     p_emit = sub.add_parser("emit", help="export selected columns as CSV")
     p_emit.add_argument("columns", nargs="+",
@@ -445,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens.add_argument("--seed", type=_finite(int, "non-negative"), default=0)
     p_ens.add_argument("--bins", type=_finite(int, most=_MAX_BINS), default=16)
     p_ens.add_argument("--box", type=_finite(float), default=2.0)
-    p_ens.add_argument("--alpha", type=_finite(float), default=0.01)
-    p_ens.add_argument("--steps-per-period", type=_finite(int), default=50)
     p_ens.add_argument("--velocity", default="0.7 0 0")
     p_ens.add_argument("--theta", default="0")
     p_ens.add_argument("--phi", default="0")
@@ -457,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_wave)
     p_wave.add_argument("--axes", default="x0 x1",
                         help="two event coordinates spanning the grid")
-    p_wave.add_argument("--points", type=int, default=41,
+    p_wave.add_argument("--points", type=_finite(int, most=_MAX_POINTS), default=41,
                         help="grid points per axis")
     p_wave.add_argument("--extent", type=_finite(float), default=8.0,
                         help="grid side length, centered on the origin")

@@ -256,7 +256,6 @@ def integrate(
     n_steps: int,
     q: float = Q_ELECTRON,
     record_every: int = 1,
-    tau0: float = 0.0,
     validate: bool = True,
 ) -> Trajectory:
     """Fixed-step RK4 integration, recording every ``record_every`` steps.
@@ -284,8 +283,8 @@ def integrate(
         packed, fcode, fparams, float(q), float(dt), int(n_steps), int(record_every), out
     )
     if status != -1:
-        raise IntegrationDivergedError(tau0 + status * record_every * dt)
-    taus = tau0 + dt * record_every * np.arange(n_rec)
+        raise IntegrationDivergedError(status * record_every * dt)
+    taus = dt * record_every * np.arange(n_rec)
     with np.errstate(over="ignore", invalid="ignore"):
         traj = _trajectory_from_packed(formulation, taus, out)
     finite = np.logical_and.reduce([np.isfinite(v) for v in traj.residuals.values()])

@@ -245,8 +245,8 @@ def test_integrate_divergence_detected():
     # a finite state whose residuals overflow diverges at that sample's tau
     model = UniformEB(b0=np.array([0.0, 0.0, 1e16]))
     with pytest.raises(IntegrationDivergedError) as info:
-        integrate(boosted_states()["spinor"], model, T0 / 1000, 1, tau0=2.0)
-    assert info.value.tau == 2.0 + T0 / 1000
+        integrate(boosted_states()["spinor"], model, T0 / 1000, 1)
+    assert info.value.tau == T0 / 1000
 
 
 @pytest.mark.parametrize("formulation", ["position", "spintensor", "spinor"])
@@ -263,9 +263,9 @@ def test_trajectory_residuals_equal_single_sample_residuals(formulation, model):
 
 def test_trajectory_grid_and_offset():
     pos = boosted_states()["position"]
-    traj = integrate(pos, FreeField(), 1e-3, 100, record_every=10, tau0=2.5)
+    traj = integrate(pos, FreeField(), 1e-3, 100, record_every=10)
     assert len(traj) == 11
-    assert traj.taus[0] == pytest.approx(2.5)
+    assert traj.taus[0] == 0.0
     assert traj.dt == pytest.approx(1e-2)
     first = traj.state_at(0)
     assert np.allclose(first.x, pos.x, atol=0.0)

@@ -101,6 +101,9 @@ def calls() -> list[list[str]]:
     # with a partial last block of particles
     out.append(["ensemble", "--flow", "corrupted", "--velocity", "0.3 0.1 0", "--n", "20000",
                 "--periods", "2", "--bins", "8", "--seed", "3"])
+    # an ensemble at rest, where no boost is applied
+    out.append(["ensemble", "--flow", "free", "--velocity", "0 0 0", "--n", "20000",
+                "--periods", "2", "--bins", "8", "--seed", "5"])
     out.append(["wave", "--scenario", "free-boosted"])
     out.append(["wave", "--scenario", "free-boosted", "--axes", "x1 x3"])
     for ini in ("raw-all.ini", "phased-e0.ini"):
