@@ -15,14 +15,16 @@ state was detected.
 
 The array kernels, one RK4 driver (``_array_rk4``) closing over each rhs,
 are compiled with numba at import time when numba is installed.  Without
-it ``INTEGRATORS`` holds the pure-Python drivers that ``_fused_rk4``
-generates at import: one straight-line RK4 loop per formulation on Python
-scalars, the rhs inlined into each stage with every floating-point
-operation of the array kernels in order, so records and divergence
-indices are bit-identical to theirs (pinned by the test suite).  On one
-core of a 2-core machine (Python 3.11) criterion 1's 100k steps take
-0.5-0.7 s (position), 0.8-0.9 s (spin tensor) and 1.9-2.0 s (spinor),
-against 7-11 s for the array kernels run as plain Python.
+it ``INTEGRATORS`` holds the pure-Python drivers: one straight-line RK4
+loop per formulation on Python scalars, which ``_fused_rk4`` generates and
+compiles on its first call, not at import.  The rhs is inlined into each
+stage with every floating-point operation of the array kernels in order,
+so records and divergence indices are bit-identical to theirs (pinned by
+the test suite).  A free or uniform field is read once, before the loop;
+the point charge's field is evaluated at every stage.  On one core of a
+2-core machine (Python 3.11) criterion 1's 100k steps take 0.53-0.61 s
+(position), 0.83-0.88 s (spin tensor) and 1.66-1.80 s (spinor), against
+7-11 s for the array kernels run as plain Python.
 
 The equations of motion also exist at dataclass level in dynamics.deriv_*;
 the test suite pins agreement between the two implementations.
@@ -30,6 +32,7 @@ the test suite pins agreement between the two implementations.
 
 from __future__ import annotations
 
+import functools
 import linecache
 import math
 import re
@@ -220,8 +223,22 @@ integrate_spinor = _array_rk4(rhs_spinor)
 # its named state components, in the array rhs' operand order, assigning the
 # derivative of component n to k_n.
 
-# the field at x and the Lorentz force on pi, _force inlined
-_LORENTZ = """e1, e2, e3, b1, b2, b3 = field_eb(fcode, fp, x1, x2, x3)
+# the Lorentz force on pi, _force inlined; a free or uniform field stays in
+# e1..b3 as read before the loop, the point charge's field is _field_eb's
+# branch for it, evaluated at x
+_LORENTZ = """if coulomb:
+    r1 = x1 - cx1
+    r2 = x2 - cx2
+    r3 = x3 - cx3
+    rsq = r1 * r1 + r2 * r2 + r3 * r3
+    if rsq == 0.0:
+        e1 = e2 = e3 = nan
+    else:
+        den = rsq * sqrt(rsq)
+        scale = charge / den if den else charge * inf
+        e1 = scale * r1
+        e2 = scale * r2
+        e3 = scale * r3
 k_p0 = q * (e1 * u1 + e2 * u2 + e3 * u3)
 k_p1 = q * (u0 * e1 + u2 * b3 - u3 * b2)
 k_p2 = q * (u0 * e2 + u3 * b1 - u1 * b3)
@@ -259,20 +276,28 @@ k_s2 = u3 * p1 - u1 * p3
 k_s3 = u1 * p2 - u2 * p1
 """
 
+# u on the float parts re_n, im_n of phi_n.  CPython multiplies complexes as
+# (a.re*b.re - a.im*b.im, a.re*b.im + a.im*b.re), so conj(phi_m) * phi_n is
+# (re_m*re_n + im_m*im_n, re_m*im_n - im_m*re_n): the conjugate's sign folds
+# in exactly, also for signed zeros.
 _SPINOR_RHS = f"""
-c1 = ph1.conjugate()
-c2 = ph2.conjugate()
-c1ph4 = c1 * ph4
-c2ph3 = c2 * ph3
+re1 = ph1.real
+im1 = ph1.imag
+re2 = ph2.real
+im2 = ph2.imag
+re3 = ph3.real
+im3 = ph3.imag
+re4 = ph4.real
+im4 = ph4.imag
 k_x0 = u0 = (
-    ph1.real * ph1.real + ph1.imag * ph1.imag
-    + ph2.real * ph2.real + ph2.imag * ph2.imag
-    + ph3.real * ph3.real + ph3.imag * ph3.imag
-    + ph4.real * ph4.real + ph4.imag * ph4.imag
+    re1 * re1 + im1 * im1
+    + re2 * re2 + im2 * im2
+    + re3 * re3 + im3 * im3
+    + re4 * re4 + im4 * im4
 )
-k_x1 = u1 = 2.0 * (c1ph4 + c2ph3).real
-k_x2 = u2 = 2.0 * c1ph4.imag - 2.0 * c2ph3.imag
-k_x3 = u3 = 2.0 * (c1 * ph3 - c2 * ph4).real
+k_x1 = u1 = 2.0 * ((re1 * re4 + im1 * im4) + (re2 * re3 + im2 * im3))
+k_x2 = u2 = 2.0 * (re1 * im4 - im1 * re4) - 2.0 * (re2 * im3 - im2 * re3)
+k_x3 = u3 = 2.0 * ((re1 * re3 + im1 * im3) - (re2 * re4 + im2 * im4))
 {_LORENTZ}
 ip2 = 1j * p2
 k_ph1 = -1j * (p0 * ph1 - p1 * ph4 + ip2 * ph4 - p3 * ph3)
@@ -280,6 +305,16 @@ k_ph2 = -1j * (p0 * ph2 - p1 * ph3 - ip2 * ph3 + p3 * ph4)
 k_ph3 = -1j * (-p0 * ph3 + p1 * ph2 - ip2 * ph2 + p3 * ph1)
 k_ph4 = -1j * (-p0 * ph4 + p1 * ph1 + ip2 * ph1 - p3 * ph2)
 """
+
+# per formulation: its state components in packed order, its rhs, and the
+# complex components whose derivatives are real
+_LOOPS = {
+    "position": ("x0 x1 x2 x3 u0 u1 u2 u3 y0 y1 y2 y3 p0 p1 p2 p3", _POSITION_RHS, ""),
+    "spintensor": ("x0 x1 x2 x3 u0 u1 u2 u3 p0 p1 p2 p3 d1 d2 d3 s1 s2 s3",
+                   _SPINTENSOR_RHS, ""),
+    "spinor": ("x0 x1 x2 x3 p0 p1 p2 p3 ph1 ph2 ph3 ph4", _SPINOR_RHS,
+               "x0 x1 x2 x3 p0 p1 p2 p3"),
+}
 
 
 def _all_finite(s):
@@ -291,15 +326,17 @@ def _all_finite(s):
         return False
 
 
-def _fused_rk4(formulation, names, rhs_template, real=""):
+@functools.cache
+def _fused_rk4(formulation):
     """Compile the pure-Python RK4 driver of ``formulation``, with the array
     kernels' signature and return value: one loop with the state, the stage
-    states t_<n> and k1..k4 as locals, and ``rhs_template`` inlined per stage.
+    states t_<n> and k1..k4 as locals, and the rhs inlined per stage.
 
-    The rhs must not assign to a component's name.  Complex components named
-    in ``real`` have real derivatives, so the loop carries their real parts
-    as floats; a complex-plus-float add would leave imag + 0.0, which the
-    records restore."""
+    The rhs must not assign to a component's name.  The complex components
+    that ``_LOOPS`` lists last have real derivatives, so the loop carries
+    their real parts as floats; a complex-plus-float add would leave
+    imag + 0.0, which the records restore."""
+    names, rhs_template, real = _LOOPS[formulation]
     names, real, words = names.split(), real.split(), set(re.findall(r"\w+", rhs_template))
     used = [n for n in names if n in words]
     as_stage = re.compile(rf"\b({'|'.join(used)})\b")
@@ -321,7 +358,12 @@ def _fused_rk4(formulation, names, rhs_template, real=""):
     field_eb = getattr(_field_eb, "py_func", _field_eb)
     out[0] = s
     {state} = s
-    {unpack}rec = 1
+    {unpack}e1, e2, e3, b1, b2, b3 = field_eb(fcode, fp, x1, x2, x3)
+    coulomb = fcode == FIELD_COULOMB
+    if coulomb:
+        charge, cx1, cx2, cx3 = fp[:4]
+    sqrt, nan, inf = math.sqrt, math.nan, math.inf
+    rec = 1
     half = 0.5 * dt
     sixth = dt / 6.0
     for step in range(1, n_steps + 1):
@@ -341,14 +383,14 @@ def _fused_rk4(formulation, names, rhs_template, real=""):
     return scope["integrate"]
 
 
-FLOAT_INTEGRATORS = {
-    "position": _fused_rk4("position", "x0 x1 x2 x3 u0 u1 u2 u3 y0 y1 y2 y3 p0 p1 p2 p3",
-                           _POSITION_RHS),
-    "spintensor": _fused_rk4("spintensor", "x0 x1 x2 x3 u0 u1 u2 u3 p0 p1 p2 p3 d1 d2 d3 s1 s2 s3",
-                             _SPINTENSOR_RHS),
-    "spinor": _fused_rk4("spinor", "x0 x1 x2 x3 p0 p1 p2 p3 ph1 ph2 ph3 ph4", _SPINOR_RHS,
-                         real="x0 x1 x2 x3 p0 p1 p2 p3"),
-}
+def _float_integrator(formulation):
+    def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
+        return _fused_rk4(formulation)(state, fcode, fp, q, dt, n_steps, record_every, out)
+
+    return integrate
+
+
+FLOAT_INTEGRATORS = {formulation: _float_integrator(formulation) for formulation in _LOOPS}
 
 INTEGRATORS = {
     "position": integrate_position,

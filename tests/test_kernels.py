@@ -7,9 +7,15 @@ either backend: same records byte for byte, same return value, also
 when the state turns non-finite.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import zsim
 from zsim import kernels
 from zsim.constants import Q_ELECTRON, T0
 from zsim.dynamics import matched_initial_states, pack_state, unpack_state
@@ -55,12 +61,12 @@ def packed(states, name):
     return pack_state(states[name]).astype(kernels.STATE_DTYPE[name])
 
 
-def run_both(name, state, fcode, fparams, dt, n_steps, record_every):
+def run_both(name, state, fcode, fparams, dt, n_steps, record_every, q=Q_ELECTRON):
     results = []
     for kernel in (kernels.FLOAT_INTEGRATORS[name], ARRAY_KERNELS[name]):
         out = np.zeros((n_steps // record_every + 1, state.shape[0]), dtype=state.dtype)
         with np.errstate(all="ignore"):
-            status = kernel(state.copy(), fcode, fparams, Q_ELECTRON, dt, n_steps, record_every, out)
+            status = kernel(state.copy(), fcode, fparams, q, dt, n_steps, record_every, out)
         results.append((status, out))
     (status, out), (want_status, want) = results
     assert status == want_status
@@ -73,13 +79,16 @@ def run_both(name, state, fcode, fparams, dt, n_steps, record_every):
 @pytest.mark.parametrize("name", FORMULATIONS)
 def test_float_driver_matches_array_kernels(name, which, field):
     fcode, fparams = FIELDS[field]
-    state = packed(STATES[which](), name)
-    assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3) == -1
-    for n in (1, 7):  # a record after every step, and only after the last
-        assert run_both(name, state, fcode, fparams, T0 / 1000, n, n) == -1
-    if name == "spinor":  # imaginary parts of x and pi, which no rhs reads
-        state[:8] += 1j * np.linspace(-2.0, 3.0, 8)
-        assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3) == -1
+    # both charge signs: with q > 0 the free-field force rounds to +0.0, which
+    # turns the -0.0 momenta of rest-signed-zeros into +0.0
+    for q in (Q_ELECTRON, 1.0):
+        state = packed(STATES[which](), name)
+        assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3, q) == -1
+        for n in (1, 7):  # a record after every step, and only after the last
+            assert run_both(name, state, fcode, fparams, T0 / 1000, n, n, q) == -1
+        if name == "spinor":  # imaginary parts of x and pi, which no rhs reads
+            state[:8] += 1j * np.linspace(-2.0, 3.0, 8)
+            assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3, q) == -1
 
 
 @pytest.mark.parametrize("name", FORMULATIONS)
@@ -107,3 +116,20 @@ def test_divergence_index_matches_when_complex_modulus_overflows():
     state[0] = complex(1.7e308, 1.7e308)
     fcode, fparams = FIELDS["free"]
     assert run_both("spinor", state, fcode, fparams, T0 / 1000, 10, 1) == 1
+
+
+def test_loops_are_built_on_first_use():
+    """``import zsim.cli`` compiles no pure-Python loop; one integration
+    compiles its formulation's loop alone (none where numba runs)."""
+    src = str(Path(zsim.__file__).resolve().parents[1])
+    built = "print(sorted(f for f in linecache.cache if f.startswith('<zsim.kernels:')))"
+    code = (f"import linecache, zsim.cli; {built}; "
+            "from zsim import dynamics, emfield, kernels; "
+            "state = dynamics.matched_initial_states(0.0, 0.0)['spintensor']; "
+            f"dynamics.integrate(state, emfield.FreeField(), 0.01, 1); {built}; "
+            "print(kernels.JITTED)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    after_import, after_integrate, jitted = proc.stdout.splitlines()
+    assert after_import == "[]"
+    assert after_integrate == ("[]" if jitted == "True" else "['<zsim.kernels:spintensor>']")

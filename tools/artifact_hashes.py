@@ -6,9 +6,9 @@ Usage (from a checkout, with its ``src`` on the path):
 
 Each call runs through ``zsim.cli.main`` in its own directory under
 OUTDIR.  The INI scenarios below, written to OUTDIR first, cover what no
-preset uses: raw initial vectors, a zitter phase, an origin and an
-electric field, and a step too coarse for RK4 (the position and
-spin-tensor runs diverge).
+preset uses: raw initial vectors, signed-zero momenta of a positive
+charge, a zitter phase, an origin and an electric field, and a step too
+coarse for RK4 (the position and spin-tensor runs diverge).
 ``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>`` line
 naming the call and its ``error:`` line, if any (so the divergence tau
 is compared too), and one ``<sha256>  <path>`` line per artifact, with
@@ -46,6 +46,21 @@ y = 0 0 0 0
 pi = 1 0 0 0
 [run]
 periods = 2
+""",
+    # raw-all with signed-zero spatial momenta and a positive charge, whose
+    # free-field force rounds to +0.0 and so turns the -0.0 momenta into +0.0
+    "raw-positron.ini": """[scenario]
+name = raw-positron
+formulation = all
+[initial]
+mode = raw
+x = 0 0 -0.5 0
+u = 1 1 0 0
+y = 0 0 0 0
+pi = 1 -0 -0 -0
+[run]
+periods = 2
+charge = 1
 """,
     "phased-e0.ini": """[scenario]
 name = phased-e0
@@ -111,6 +126,7 @@ def calls() -> list[list[str]]:
         out.append(["compare", "--scenario", ini])
     for f in ("position", "spintensor", "spinor"):
         out.append(["run", "--scenario", "diverging.ini", "--formulation", f])
+    out.append(["run", "--scenario", "raw-positron.ini"])
     return out
 
 
