@@ -336,8 +336,11 @@ _SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "": lam
 
 # Sizes share the scenario's step bound; --bins and --points are bounded by
 # their bins**3 histogram cells and points**2 grid events:
-# 208063**3 <= 2**53 < 208064**3 and 94906265 = isqrt(2**53).
+# 208063**3 <= 2**53 < 208064**3 and 94906265 = isqrt(2**53).  --periods is
+# bounded so that the corrupted flow's 50 RK4 steps per period (the default
+# steps_per_period of wavefield.ensemble_uniformity) stay within 2**53 steps.
 _MAX_SIZE = 2**53
+_MAX_PERIODS = _MAX_SIZE / 50
 _MAX_BINS = 208_063
 _MAX_POINTS = 94_906_265
 
@@ -429,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ens = sub.add_parser("ensemble", help="density uniformity transport check")
     p_ens.add_argument("--flow", choices=["free", "corrupted"], default="free")
     p_ens.add_argument("--n", type=_finite(int, most=_MAX_SIZE), default=100_000)
-    p_ens.add_argument("--periods", type=_finite(float), default=10.0)
+    p_ens.add_argument("--periods", type=_finite(float, most=_MAX_PERIODS), default=10.0)
     p_ens.add_argument("--seed", type=_finite(int, "non-negative"), default=0)
     p_ens.add_argument("--bins", type=_finite(int, most=_MAX_BINS), default=16)
     p_ens.add_argument("--box", type=_finite(float), default=2.0)

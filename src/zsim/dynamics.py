@@ -237,12 +237,9 @@ def unpack_state(formulation: str, packed: np.ndarray) -> DynState:
 
 def _residual_arrays(us: np.ndarray, pis: np.ndarray, zs: np.ndarray) -> dict:
     """Constraint residuals of stacked (..., 4) vectors; floats for single ones."""
-    return {
-        "c1": mdot(us, us),
-        "c2": mdot(zs, zs) + R0**2,
-        "c3": mdot(pis, us) / MASS - C**2,
-        "g": mdot(zs, pis),
-    }
+    dots = mdot(np.array([us, zs, pis, zs]), np.array([us, zs, us, pis]))
+    uu, zz, piu, zpi = dots.tolist() if dots.ndim == 1 else dots
+    return {"c1": uu, "c2": zz + R0**2, "c3": piu / MASS - C**2, "g": zpi}
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ def mdot(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    out = a[..., 0] * b[..., 0] - np.sum(a[..., 1:] * b[..., 1:], axis=-1)
+    out = a[..., 0] * b[..., 0] - (a[..., 1:] * b[..., 1:]).sum(axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 

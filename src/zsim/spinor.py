@@ -34,22 +34,22 @@ _I2 = np.eye(2, dtype=np.complex128)
 _Z2 = np.zeros((2, 2), dtype=np.complex128)
 
 GAMMA0 = np.block([[_I2, _Z2], [_Z2, -_I2]])
-GAMMA = [GAMMA0] + [
-    np.block([[_Z2, s], [-s, _Z2]]) for s in PAULI
-]
+#: gamma^0..gamma^3 stacked, shape (4, 4, 4).
+GAMMA = np.stack([GAMMA0] + [np.block([[_Z2, s], [-s, _Z2]]) for s in PAULI])
 
-#: Velocity operators u^mu = c gamma^mu.
-U_OP = [C * g for g in GAMMA]
+#: Velocity operators u^mu = c gamma^mu, shape (4, 4, 4).
+U_OP = C * GAMMA
 
+#: Spin-tensor operators S^{mu nu} = -(i hbar / 4) [gamma^mu, gamma^nu],
+#: shape (4, 4, 4, 4), indexed [mu][nu].
+SPIN_OP = (-1j * HBAR / 4.0) * (GAMMA[:, None] @ GAMMA - GAMMA @ GAMMA[:, None])
 
-def spin_operator(mu: int, nu: int) -> np.ndarray:
-    """Spin-tensor operator S^{mu nu} = -(i hbar / 4) [gamma^mu, gamma^nu]."""
-    g_mu, g_nu = GAMMA[mu], GAMMA[nu]
-    return (-1j * HBAR / 4.0) * (g_mu @ g_nu - g_nu @ g_mu)
+#: The six independent pairs mu < nu and their S^{mu nu}, shape (6, 4, 4).
+_PAIRS = np.triu_indices(4, 1)
+_SPIN_PAIRS = SPIN_OP[_PAIRS]
 
-
-#: All sixteen S^{mu nu} operators, indexed [mu][nu].
-SPIN_OP = [[spin_operator(m, n) for n in range(4)] for m in range(4)]
+#: Boost generators alpha^k = gamma^0 gamma^k, shape (3, 4, 4).
+_ALPHA = GAMMA0 @ GAMMA[1:]
 
 
 def hamiltonian(pi: Vec4) -> np.ndarray:
@@ -122,9 +122,8 @@ def velocity_observable(state) -> Vec4:
     single = phi.ndim == 1
     phis = phi.reshape(-1, 4)
     bar = phis.conj() @ GAMMA0
-    u = np.empty((phis.shape[0], 4))
-    for mu in range(4):
-        u[:, mu] = np.real(np.einsum("ni,ij,nj->n", bar, U_OP[mu], phis))
+    # a copy, so the float rows do not hold the complex product alive
+    u = np.einsum("ni,mij,nj->nm", bar, U_OP, phis).real.copy()
     return u[0] if single else u
 
 
@@ -135,14 +134,12 @@ def spin_tensor_observable(state) -> np.ndarray:
     returns shape (N, 4, 4).
     """
     phi = _amps(state)
-    bar = adjoint_row(phi)[..., None, :]
-    col = phi[..., :, None]
+    bar = adjoint_row(phi)[..., None, None, :]
+    col = phi[..., None, :, None]
+    val = np.real(bar @ _SPIN_PAIRS @ col)[..., 0, 0]
     s = np.zeros(phi.shape[:-1] + (4, 4))
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            val = np.real(bar @ SPIN_OP[mu][nu] @ col)[..., 0, 0]
-            s[..., mu, nu] = val
-            s[..., nu, mu] = -val
+    s[(..., *_PAIRS)] = val
+    s[(..., *_PAIRS[::-1])] = -val
     return s
 
 
@@ -244,7 +241,7 @@ def boost_state(amps, params: BoostParams) -> Amplitudes:
         return a.copy()
     g = params.gamma
     nhat = v / speed
-    alpha = sum(nhat[k] * (GAMMA0 @ GAMMA[k + 1]) for k in range(3))
+    alpha = (nhat[:, None, None] * _ALPHA).sum(axis=0)
     mat = np.sqrt((1.0 + g) / 2.0) * np.eye(4, dtype=np.complex128)
     # g*speed/sqrt(2(1+g)) = sqrt((g-1)/2) without cancellation at small speeds
     mat += (g * speed / np.sqrt(2.0 * (1.0 + g))) * alpha
@@ -263,40 +260,21 @@ def operator_identity_suite(pi: Vec4) -> dict[str, float]:
     pi_low = lower(pi)
     eye = np.eye(4, dtype=np.complex128)
 
-    res_anti = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            lhs = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
-            target = 2.0 * METRIC[mu, nu] * eye
-            res_anti = max(res_anti, float(np.abs(lhs - target).max()))
-
-    res_h2 = float(np.abs(h @ h - C**2 * mdot(pi, pi) * eye).max())
-
-    res_vel = 0.0
-    for mu in range(4):
-        lhs = (1j / HBAR) * (h @ U_OP[mu] - U_OP[mu] @ h)
-        rhs = (4.0 * C**2 / HBAR**2) * sum(
-            SPIN_OP[mu][nu] * pi_low[nu] for nu in range(4)
-        )
-        res_vel = max(res_vel, float(np.abs(lhs - rhs).max()))
-
-    res_spin = 0.0
-    for mu in range(4):
-        for nu in range(4):
-            lhs = (1j / HBAR) * (h @ SPIN_OP[mu][nu] - SPIN_OP[mu][nu] @ h)
-            rhs = pi[mu] * U_OP[nu] - pi[nu] * U_OP[mu]
-            res_spin = max(res_spin, float(np.abs(lhs - rhs).max()))
-
-    res_hgh = 0.0
-    for mu in range(4):
-        lhs = h @ GAMMA[mu] @ h
-        rhs = -(REST_ENERGY**2) * GAMMA[mu] + 2.0 * C * pi[mu] * h
-        res_hgh = max(res_hgh, float(np.abs(lhs - rhs).max()))
-
-    return {
-        "anticommutator": res_anti,
-        "h_squared": res_h2,
-        "velocity_commutator": res_vel,
-        "spin_commutator": res_spin,
-        "h_gamma_h": res_hgh,
+    gg = GAMMA[:, None] @ GAMMA  # gg[mu, nu] = gamma^mu gamma^nu
+    sides = {
+        "anticommutator": (gg + gg.swapaxes(0, 1), 2.0 * METRIC[:, :, None, None] * eye),
+        "h_squared": (h @ h, C**2 * mdot(pi, pi) * eye),
+        "velocity_commutator": (
+            (1j / HBAR) * (h @ U_OP - U_OP @ h),
+            (4.0 * C**2 / HBAR**2) * np.einsum("mnij,n->mij", SPIN_OP, pi_low),
+        ),
+        "spin_commutator": (
+            (1j / HBAR) * (h @ SPIN_OP - SPIN_OP @ h),
+            pi[:, None, None, None] * U_OP - pi[None, :, None, None] * U_OP[:, None],
+        ),
+        "h_gamma_h": (
+            h @ GAMMA @ h,
+            -(REST_ENERGY**2) * GAMMA + 2.0 * C * pi[:, None, None] * h,
+        ),
     }
+    return {key: float(np.abs(lhs - rhs).max()) for key, (lhs, rhs) in sides.items()}

@@ -53,11 +53,10 @@ def scalar_invariant(spin: np.ndarray) -> float:
     return float(np.sum(spin * spin_low))
 
 
-def _scaled(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return float(np.abs(lhs - rhs).max()) / scale
+def _scaled(lhs: np.ndarray, rhs: np.ndarray) -> list[float]:
+    """Per row, max|lhs - rhs| / max(1, max|lhs|, max|rhs|) over the last axis."""
+    scale = np.maximum(1.0, np.maximum(np.abs(lhs).max(-1), np.abs(rhs).max(-1)))
+    return (np.abs(lhs - rhs).max(-1) / scale).tolist()
 
 
 def triad_residuals(spin: np.ndarray, u: Vec4) -> dict[str, float]:
@@ -80,15 +79,17 @@ def triad_residuals(spin: np.ndarray, u: Vec4) -> dict[str, float]:
     )
     res_ortho = float(np.abs(rows @ rows.T - np.eye(3)).max())
     res_det = abs(float(np.linalg.det(rows)) - 1.0)
-    res_cyc_d = _scaled(d, np.cross(xdot, s) / (C * tdot))
-    res_cyc_s = _scaled(s, np.cross(d, xdot) / (C * tdot))
-    res_cyc_u = _scaled(xdot, (4.0 * C**2 / HBAR**2) * np.cross(s, d) / (C * tdot))
+    # d = xdot x s, s = d x xdot and xdot = (4 c^2 / hbar^2) s x d, each / (c tdot)
+    cyclic = _scaled(
+        np.array([d, s, xdot]),
+        np.array([[1.0], [1.0], [4.0 * C**2 / HBAR**2]])
+        * np.cross(np.array([xdot, d, s]), np.array([s, xdot, d]))
+        / (C * tdot),
+    )
     return {
         "triad_orthonormal": res_ortho,
         "triad_handedness": res_det,
-        "cyclic_d": res_cyc_d,
-        "cyclic_s": res_cyc_s,
-        "cyclic_u": res_cyc_u,
+        **dict(zip(("cyclic_d", "cyclic_s", "cyclic_u"), cyclic)),
     }
 
 
@@ -113,21 +114,22 @@ def identity_suite(state: PositionState) -> dict[str, float]:
     udot = -(OMEGA0**2) * z
     zdot = u - pi / MASS
 
-    out = {
-        "s_u": _scaled(spin @ lower(u), np.zeros(4)),
-        "s_udot": _scaled(spin @ lower(udot), MASS * C**2 * u),
-        "s_pi": _scaled(spin @ lower(pi), -((MASS * C) ** 2) * z),
-        "s_z": _scaled(spin @ lower(z), -(HBAR / (2.0 * OMEGA0)) * u),
-        "s_zdot": _scaled(spin @ lower(zdot), MASS * C**2 * z),
-    }
-    d, s = antisymmetric_parts(spin)
-    out["scalar"] = _scaled(scalar_invariant(spin), 0.0)
-    out["scalar_vector_form"] = _scaled(
-        scalar_invariant(spin), 2.0 * (np.dot(s, s) - np.dot(d, d))
+    # row k is S v_k for v = (u, udot, pi, z, zdot), against its right-hand side
+    contractions = _scaled(
+        lower(np.array([u, udot, pi, z, zdot])) @ spin.T,
+        np.array([np.zeros(4), MASS * C**2 * u, -((MASS * C) ** 2) * z,
+                  -(HBAR / (2.0 * OMEGA0)) * u, MASS * C**2 * z]),
     )
+    out = dict(zip(("s_u", "s_udot", "s_pi", "s_z", "s_zdot"), contractions))
+    d, s = antisymmetric_parts(spin)
+    invariant = scalar_invariant(spin)
     tdot = u[0] / C
-    out["magnitude_s"] = _scaled(np.linalg.norm(s), H_STAR * tdot)
-    out["magnitude_d"] = _scaled(np.linalg.norm(d), H_STAR * tdot)
+    # one-entry rows: each scalar is scaled by itself and its own right-hand side
+    scalars = _scaled(
+        np.array([invariant, invariant, np.linalg.norm(s), np.linalg.norm(d)])[:, None],
+        np.array([0.0, 2.0 * (np.dot(s, s) - np.dot(d, d)), H_STAR * tdot, H_STAR * tdot])[:, None],
+    )
+    out.update(zip(("scalar", "scalar_vector_form", "magnitude_s", "magnitude_d"), scalars))
     out.update(triad_residuals(spin, u))
     return out
 

@@ -112,7 +112,7 @@ def dirac_residual(wave: WaveFunction, xs, h: float | None = None) -> float:
     """
     xs = _as_events(xs)
     grad = gradient_analytic(wave, xs) if h is None else gradient_fd(wave, xs, h)
-    slashed = np.einsum("mij,nmj->ni", np.stack(U_OP), grad)
+    slashed = np.einsum("mij,nmj->ni", U_OP, grad)
     psi = wave_function_at(wave, xs)
     return float(np.abs(slashed - MASS * C**2 * psi).max())
 

@@ -243,6 +243,11 @@ _BAD_INI = {
         ["ensemble", "--bins", "0"],
         ["ensemble", "--box", "inf"],
         ["ensemble", "--periods", "nan"],
+        # more than 2**53 / 50 periods: the corrupted flow's step count overflows
+        # int or never ends, and the free flow's positions all turn NaN
+        ["ensemble", "--flow", "corrupted", "--periods", "1e308"],
+        ["ensemble", "--flow", "corrupted", "--periods", "1e300"],
+        ["ensemble", "--flow", "free", "--periods", "1e308", "--n", "10"],
         ["ensemble", "--velocity", "1 1 1"],
         ["compare", "--scenario", "free-rest", "--jobs", "0"],
         ["compare", "--scenario", "free-rest", "--corrupt-momentum", "nan"],

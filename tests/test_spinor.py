@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zsim.constants import C, HBAR, MASS, OMEGA0, REST_ENERGY, T0
-from zsim.minkowski import BoostParams, boost_vector, gamma_of, mdot
+from zsim.minkowski import METRIC, BoostParams, boost_vector, gamma_of, lower, mdot
 from zsim.spinor import (
     GAMMA,
     GAMMA0,
+    SPIN_OP,
+    U_OP,
     StateFunction,
     boost_state,
     closed_form_state,
@@ -35,6 +37,98 @@ speed_st = st.floats(min_value=-0.9, max_value=0.9, allow_nan=False)
 def momentum_of(v3: np.ndarray) -> np.ndarray:
     g = gamma_of(v3)
     return MASS * np.concatenate(([g * C], g * np.asarray(v3)))
+
+
+def operator_identity_loops(pi: np.ndarray) -> dict[str, float]:
+    """Reference: the operator identities evaluated one Lorentz index at a time."""
+    h = hamiltonian(pi)
+    pi = np.asarray(pi, dtype=np.float64)
+    pi_low = lower(pi)
+    eye = np.eye(4, dtype=np.complex128)
+
+    res_anti = 0.0
+    for mu in range(4):
+        for nu in range(4):
+            lhs = GAMMA[mu] @ GAMMA[nu] + GAMMA[nu] @ GAMMA[mu]
+            target = 2.0 * METRIC[mu, nu] * eye
+            res_anti = max(res_anti, float(np.abs(lhs - target).max()))
+
+    res_h2 = float(np.abs(h @ h - C**2 * mdot(pi, pi) * eye).max())
+
+    res_vel = 0.0
+    for mu in range(4):
+        lhs = (1j / HBAR) * (h @ U_OP[mu] - U_OP[mu] @ h)
+        rhs = (4.0 * C**2 / HBAR**2) * sum(
+            SPIN_OP[mu][nu] * pi_low[nu] for nu in range(4)
+        )
+        res_vel = max(res_vel, float(np.abs(lhs - rhs).max()))
+
+    res_spin = 0.0
+    for mu in range(4):
+        for nu in range(4):
+            lhs = (1j / HBAR) * (h @ SPIN_OP[mu][nu] - SPIN_OP[mu][nu] @ h)
+            rhs = pi[mu] * U_OP[nu] - pi[nu] * U_OP[mu]
+            res_spin = max(res_spin, float(np.abs(lhs - rhs).max()))
+
+    res_hgh = 0.0
+    for mu in range(4):
+        lhs = h @ GAMMA[mu] @ h
+        rhs = -(REST_ENERGY**2) * GAMMA[mu] + 2.0 * C * pi[mu] * h
+        res_hgh = max(res_hgh, float(np.abs(lhs - rhs).max()))
+
+    return {
+        "anticommutator": res_anti,
+        "h_squared": res_h2,
+        "velocity_commutator": res_vel,
+        "spin_commutator": res_spin,
+        "h_gamma_h": res_hgh,
+    }
+
+
+def operator_roundoff_bounds(pi: np.ndarray) -> dict[str, float]:
+    """Worst-case round-off of each operator identity residual.
+
+    Model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sections 3.1 and 3.6): an entry formed by n real roundings of terms whose
+    magnitudes sum to M is off by at most gamma_n M, gamma_n = n u / (1 - n u),
+    and a complex rounding costs at most sqrt(2) times a real one.  Every
+    entry here takes at most two chained 4-term complex products and one
+    difference, so n = 16 is an upper count.  With P = max |pi^mu|, the
+    entries of H are at most 2 c P, those of gamma^mu and u^mu at most c and
+    those of S^{mu nu} at most hbar / 2, which bounds M per identity.  The
+    gamma-products are exact (entries 0, +-1, +-i), so the anticommutator's
+    bound is 0.  h_gamma_h uses (m c^2)^2 for c^2 pi.pi, so it also carries
+    the momentum's own distance from the mass shell (times |gamma^mu| <= 1).
+    """
+    u = np.finfo(np.float64).eps / 2.0
+    g16 = np.sqrt(2.0) * 16 * u / (1.0 - 16 * u)
+    p = float(np.abs(pi).max())
+    off_shell = abs(C**2 * mdot(pi, pi) - REST_ENERGY**2)
+    return {
+        "anticommutator": 0.0,
+        "h_squared": g16 * 20.0 * (C * p) ** 2,
+        "velocity_commutator": g16 * 24.0 * C**2 * p / HBAR,
+        "spin_commutator": g16 * 10.0 * C * p,
+        "h_gamma_h": g16 * (68.0 * (C * p) ** 2 + REST_ENERGY**2) + off_shell,
+    }
+
+
+def test_operator_identities_match_index_loops():
+    """The stacked battery equals the per-index reference within round-off,
+    key by key, over a seeded grid of on-shell momenta up to gamma ~ 10."""
+    rng = np.random.default_rng(14)
+    momenta = [PI_REST]
+    for speed in np.linspace(0.05, 0.995, 40):
+        direction = rng.normal(size=3)
+        momenta.append(momentum_of(speed * direction / np.linalg.norm(direction)))
+    for pi in momenta:
+        stacked = operator_identity_suite(pi)
+        loops = operator_identity_loops(pi)
+        bounds = operator_roundoff_bounds(pi)
+        assert stacked.keys() == loops.keys() == bounds.keys()
+        for key, bound in bounds.items():
+            assert loops[key] <= bound, (key, loops[key], bound, pi)
+            assert abs(stacked[key] - loops[key]) <= bound, (key, stacked[key], loops[key], pi)
 
 
 def test_operator_identities_at_rest():
@@ -133,12 +227,25 @@ def test_velocity_derivative_from_spin_tensor():
     ) / (2 * h)
     assert np.allclose(udot, fd, atol=1e-8)
     assert np.linalg.norm(udot[1:]) == pytest.approx(C * OMEGA0, abs=1e-12)
-    # a stack of amplitudes gives the single-sample tensors bit for bit
-    phis = evolve_amplitudes(amps, PI_REST, np.linspace(0.0, T0, 7))
-    stacked = spin_tensor_observable(phis)
-    assert stacked.shape == (7, 4, 4)
-    for phi, tensor in zip(phis, stacked):
-        assert np.array_equal(tensor, spin_tensor_observable(phi))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50])
+def test_stacked_bilinears_match_single_state_bytes(n):
+    """Row i of the stacked u and S is the single-state result on phis[i], byte
+    for byte: initial states take the single form, trajectory records the
+    stacked one, also as a strided column view of the packed records."""
+    pi = momentum_of(np.array([0.3, -0.6, 0.2]))
+    amps = boost_state(spin_amplitudes(0.0), BoostParams(pi[1:] / pi[0]))
+    evolved = evolve_amplitudes(amps, pi, np.linspace(0.0, 3 * T0, n))
+    packed = np.zeros((n, 12), dtype=np.complex128)
+    packed[:, 8:12] = evolved
+    for phis in (evolved, packed[:, 8:12]):
+        us = velocity_observable(phis)
+        spins = spin_tensor_observable(phis)
+        assert us.shape == (n, 4) and spins.shape == (n, 4, 4)
+        for phi, u, spin in zip(phis, us, spins):
+            assert u.tobytes() == velocity_observable(phi).tobytes()
+            assert spin.tobytes() == spin_tensor_observable(phi).tobytes()
 
 
 def test_energy_projectors_algebra():

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsim.constants import H_STAR, HBAR, MASS, OMEGA0, Q_ELECTRON, T0
+from zsim.constants import C, H_STAR, HBAR, MASS, OMEGA0, Q_ELECTRON, R0, T0
 from zsim.dynamics import free_motion, matched_initial_states
 from zsim.emfield import CoulombField, FreeField, UniformEB, force_at
-from zsim.minkowski import antisymmetric_parts
+from zsim.minkowski import antisymmetric_parts, lower
 from zsim.spinstates import axis_vector
 from zsim.spintensor import (
     accel_spin_tensor,
@@ -88,6 +88,102 @@ def test_identity_suite_on_matched_states(theta, phi, vx, vy):
     res = identity_suite(state)
     for name, val in res.items():
         assert val < 1e-10, f"{name} residual {val} for theta={theta} v={v}"
+
+
+def _scaled_one(lhs, rhs) -> float:
+    lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
+    rhs = np.atleast_1d(np.asarray(rhs, dtype=np.float64))
+    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+    return float(np.abs(lhs - rhs).max()) / scale
+
+
+def identity_suite_loops(state: PositionState) -> dict[str, float]:
+    """Reference: identity_suite with one matrix-vector product and one scaled
+    residual per identity."""
+    z, u, pi = state.z, state.u, state.pi
+    spin = build_spin_tensor(z, u)
+    udot = -(OMEGA0**2) * z
+    zdot = u - pi / MASS
+    out = {
+        "s_u": _scaled_one(spin @ lower(u), np.zeros(4)),
+        "s_udot": _scaled_one(spin @ lower(udot), MASS * C**2 * u),
+        "s_pi": _scaled_one(spin @ lower(pi), -((MASS * C) ** 2) * z),
+        "s_z": _scaled_one(spin @ lower(z), -(HBAR / (2.0 * OMEGA0)) * u),
+        "s_zdot": _scaled_one(spin @ lower(zdot), MASS * C**2 * z),
+    }
+    d, s = antisymmetric_parts(spin)
+    out["scalar"] = _scaled_one(scalar_invariant(spin), 0.0)
+    out["scalar_vector_form"] = _scaled_one(
+        scalar_invariant(spin), 2.0 * (np.dot(s, s) - np.dot(d, d))
+    )
+    tdot = u[0] / C
+    out["magnitude_s"] = _scaled_one(np.linalg.norm(s), H_STAR * tdot)
+    out["magnitude_d"] = _scaled_one(np.linalg.norm(d), H_STAR * tdot)
+    xdot = u[1:]
+    rows = np.vstack([2.0 * d / (HBAR * tdot), xdot / (C * tdot), 2.0 * s / (HBAR * tdot)])
+    out["triad_orthonormal"] = float(np.abs(rows @ rows.T - np.eye(3)).max())
+    out["triad_handedness"] = abs(float(np.linalg.det(rows)) - 1.0)
+    out["cyclic_d"] = _scaled_one(d, np.cross(xdot, s) / (C * tdot))
+    out["cyclic_s"] = _scaled_one(s, np.cross(d, xdot) / (C * tdot))
+    out["cyclic_u"] = _scaled_one(xdot, (4.0 * C**2 / HBAR**2) * np.cross(s, d) / (C * tdot))
+    return out
+
+
+_CONTRACTIONS = {"s_u": "u", "s_udot": "udot", "s_pi": "pi", "s_z": "z", "s_zdot": "zdot"}
+
+
+def test_identity_suite_matches_loops():
+    """The stacked suite equals the per-identity reference over a seeded grid of
+    matched states up to gamma ~ 10.
+
+    Only the five contractions S v changed their arithmetic (one matrix product
+    in place of five matrix-vector products); every other key must match bit
+    for bit.  For the contractions the round-off model (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.5) bounds each entry
+    of a 4-term product, in any summation order, within gamma_4 (|S| |v|)_i of
+    the exact value, gamma_4 = 4 u / (1 - 4 u).  So the two lhs differ by at
+    most delta = 2 gamma_4 max (|S| |v|); the residual's numerator and its
+    scale max(1, |lhs|, |rhs|) >= 1 then each move by at most delta, which
+    moves the scaled residual r by at most delta (1 + r) / (1 - delta).
+    """
+    u_round = np.finfo(np.float64).eps / 2.0
+    gamma4 = 4 * u_round / (1.0 - 4 * u_round)
+    rng = np.random.default_rng(14)
+    for speed in np.linspace(0.0, 0.995, 40):
+        direction = rng.normal(size=3)
+        state = matched_initial_states(
+            rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi),
+            velocity=speed * direction / np.linalg.norm(direction),
+            phase=rng.uniform(0.0, 2.0 * np.pi),
+        )["position"]
+        stacked = identity_suite(state)
+        loops = identity_suite_loops(state)
+        assert stacked.keys() == loops.keys()
+        spin = np.abs(build_spin_tensor(state.z, state.u))
+        vectors = {"u": state.u, "udot": -(OMEGA0**2) * state.z, "pi": state.pi,
+                   "z": state.z, "zdot": state.u - state.pi / MASS}
+        for key, ref in loops.items():
+            if key in _CONTRACTIONS:
+                v = np.abs(lower(vectors[_CONTRACTIONS[key]]))
+                delta = 2.0 * gamma4 * float((spin @ v).max())
+                bound = delta * (1.0 + ref) / (1.0 - delta)
+                assert abs(stacked[key] - ref) <= bound, (key, stacked[key], ref, bound)
+            else:
+                assert stacked[key] == ref, (key, stacked[key], ref)
+
+
+def test_identity_suite_detects_shifted_spin_center():
+    """Moving y by 1e-3 r0 moves z, which each of S pi, S z and S zdot sees
+    against its own right-hand side.  The state moves: at rest a spatial shift
+    leaves S pi = -(m c)^2 z exact, because z0 stays 0."""
+    state = matched_initial_states(np.pi / 3, 0.4, velocity=np.array([0.3, -0.2, 0.1]))[
+        "position"
+    ]
+    shifted = PositionState(x=state.x, u=state.u, y=state.y + np.array([0.0, 1e-3 * R0, 0.0, 0.0]),
+                            pi=state.pi)
+    res = identity_suite(shifted)
+    for key in ("s_pi", "s_z", "s_zdot"):
+        assert res[key] > 1e-6, f"shifted spin center went undetected by {key}: {res[key]}"
 
 
 def test_identity_suite_detects_scaled_velocity():

@@ -127,6 +127,10 @@ def calls() -> list[list[str]]:
     for f in ("position", "spintensor", "spinor"):
         out.append(["run", "--scenario", "diverging.ini", "--formulation", f])
     out.append(["run", "--scenario", "raw-positron.ini"])
+    # verify writes no artifact: its exit code gates the identity batteries
+    # and a field scenario's drift and equivalence tolerances
+    out.append(["verify", "--suite", "identities"])
+    out.append(["verify", "--scenario", "uniform-b-weak"])
     return out
 
 
