@@ -336,9 +336,10 @@ _SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "": lam
 
 # Sizes share the scenario's step bound; --bins and --points are bounded by
 # their bins**3 histogram cells and points**2 grid events:
-# 208063**3 <= 2**53 < 208064**3 and 94906265 = isqrt(2**53).  --periods is
-# bounded so that the corrupted flow's 50 RK4 steps per period (the default
-# steps_per_period of wavefield.ensemble_uniformity) stay within 2**53 steps.
+# 208063**3 <= 2**53 < 208064**3 and 94906265 = isqrt(2**53).  Both ensemble
+# flows are closed forms whose cost does not depend on --periods; its bound,
+# 2**53 / 50, keeps the zitter phase they evaluate, 2 pi periods, below 2**51,
+# where the float spacing of that phase is at most a quarter radian.
 _MAX_SIZE = 2**53
 _MAX_PERIODS = _MAX_SIZE / 50
 _MAX_BINS = 208_063

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -169,14 +170,22 @@ def test_compare_pool_has_at_most_one_worker_per_formulation(tmp_path, monkeypat
     assert sizes == [3]
 
 
-def test_cli_import_loads_no_scipy():
-    """scipy is loaded only by the ensemble verb, never at import time."""
+def test_cli_import_loads_no_scipy(tmp_path):
+    """No scipy module is loaded by importing the CLI, nor by running either
+    ensemble flow, the verb that once imported it."""
     src = str(Path(zsim.__file__).resolve().parents[1])
-    code = ("import sys, zsim.cli; "
-            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert proc.stdout.strip() == "[]"
+    code = ("import sys\n"
+            "from zsim.cli import main\n"
+            "argv = sys.argv[1:]\n"
+            "codes = [main([*argv, '--flow', f]) for f in ('free', 'corrupted')] if argv else []\n"
+            "print(codes, sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    ensemble = ["ensemble", "--n", "2000", "--periods", "2", "--bins", "4",
+                "--out", str(tmp_path)]
+    for argv, want in (([], "[] []"), (ensemble, "[0, 0] []")):
+        proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+                              timeout=120)
+        assert proc.stdout.splitlines()[-1] == want
     code = "import sys, zsim.cli; print('concurrent.futures' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
@@ -451,6 +460,19 @@ def test_ensemble_free_and_corrupted(tmp_path, capsys):
     assert bad["chi2"] > 10 * bad["dof"]
     out = capsys.readouterr().out
     assert out.count("PASS ensemble") == 2
+
+
+def test_ensemble_corrupted_cost_does_not_grow_with_periods(tmp_path):
+    """The corrupted flow is a closed form: the largest accepted span is
+    one evaluation, not 50 RK4 steps per period."""
+    src = str(Path(zsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "zsim.cli", "ensemble", "--flow", "corrupted",
+         "--periods", "1e12", "--n", "10", "--out", str(tmp_path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode in (EXIT_OK, EXIT_FAIL), proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and re.match(r"(PASS|FAIL) ensemble\[corrupted\]: ", lines[0])
 
 
 def test_unknown_scenario_usage_error(tmp_path):
