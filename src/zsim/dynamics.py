@@ -33,7 +33,6 @@ from .constants import C, HBAR, MASS, OMEGA0, Q_ELECTRON, R0
 from .emfield import CoulombField, FieldModel, FreeField, UniformEB, force_at, lorentz_force
 from .minkowski import (
     BoostParams,
-    Vec4,
     antisymmetric_parts,
     antisymmetric_tensor,
     boost_vector,
@@ -50,7 +49,7 @@ from .spinor import (
     velocity_observable,
 )
 from .spinstates import spin_amplitudes
-from .spintensor import build_spin_tensor, spin_vectors_direct
+from .spintensor import spin_vectors_direct, z_from_spin
 from .states import (
     DynState,
     FORMULATIONS,
@@ -58,7 +57,6 @@ from .states import (
     SpinorState,
     SpinTensorState,
     Trajectory,
-    formulation_of,
 )
 
 
@@ -113,7 +111,7 @@ def deriv_spintensor(state: SpinTensorState, model: FieldModel, q: float = Q_ELE
 
 
 def deriv_spinor(state: SpinorState, model: FieldModel, q: float = Q_ELECTRON) -> SpinorState:
-    u = velocity_observable(state.phi)
+    u = state.u
     f = force_at(model, q, state.x, u)
     phidot = state_derivative(state.phi, state.pi)
     return SpinorState(x=u, phi=phidot, pi=f)
@@ -121,27 +119,6 @@ def deriv_spinor(state: SpinorState, model: FieldModel, q: float = Q_ELECTRON) -
 
 # ---------------------------------------------------------------------------
 # Constraint residuals and validation.
-
-
-def _z_of(spin: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """z = -S pi / (m c)^2 for a spin tensor (..., 4, 4) and momentum (..., 4)."""
-    return -(spin @ lower(pi)[..., None])[..., 0] / (MASS * C) ** 2
-
-
-def local_vector(state: DynState) -> Vec4:
-    """Spin-motion vector z for any formulation."""
-    if isinstance(state, PositionState):
-        return state.z
-    if isinstance(state, SpinTensorState):
-        return _z_of(state.spin, state.pi)
-    return _z_of(spin_tensor_observable(state.phi), state.pi)
-
-
-def velocity_of(state: DynState) -> Vec4:
-    """Total four-velocity u for any formulation."""
-    if isinstance(state, SpinorState):
-        return velocity_observable(state.phi)
-    return state.u
 
 
 def constraint_residuals(state: DynState) -> dict[str, float]:
@@ -152,7 +129,7 @@ def constraint_residuals(state: DynState) -> dict[str, float]:
     * c3 = pi.u / m - c^2
     * g  = z.pi
     """
-    return _residual_arrays(velocity_of(state), state.pi, local_vector(state))
+    return _residual_arrays(state.u, state.pi, state.z)
 
 
 def validate_state(state: DynState, tol: float = 1e-10) -> None:
@@ -190,12 +167,6 @@ def free_motion(state0: PositionState, taus) -> tuple[np.ndarray, np.ndarray, np
     xs = ys + (osc_u / OMEGA0)[None, :] * sin + z0[None, :] * cos
     us = drift[None, :] + osc_u[None, :] * cos - (OMEGA0 * z0)[None, :] * sin
     return xs, us, ys
-
-
-def closed_form_free(state0: PositionState, tau: float) -> PositionState:
-    """Exact field-free state at proper time tau."""
-    xs, us, ys = free_motion(state0, float(tau))
-    return PositionState(xs[0], us[0], ys[0], state0.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -267,11 +238,11 @@ def integrate(
         raise ValueError("n_steps and record_every must be at least 1")
     if n_steps % record_every != 0:
         raise ValueError("n_steps must be a multiple of record_every")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < np.inf:
+        raise ValueError("dt must be positive and finite")
     if validate:
         validate_state(state)
-    formulation = formulation_of(state)
+    formulation = state.formulation
     fcode, fparams = _field_code(model)
     packed = pack_state(state).astype(kernels.STATE_DTYPE[formulation])
     n_rec = n_steps // record_every + 1
@@ -291,25 +262,22 @@ def integrate(
 
 
 def _trajectory_from_packed(formulation: str, taus: np.ndarray, out: np.ndarray) -> Trajectory:
+    ys = phis = None
     if formulation == "position":
         xs, us, ys, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:16]
         zs = xs - ys
         spins = np.hstack(spin_vectors_direct(zs, us))
-        res = _residual_arrays(us, pis, zs)
-        return Trajectory(formulation, taus, xs, us, pis, spins, ys=ys, residuals=res)
-    if formulation == "spintensor":
-        xs, us, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12]
-        spins = out[:, 12:18]
-        zs = _z_of(antisymmetric_tensor(spins[:, :3], spins[:, 3:]), pis)
-        res = _residual_arrays(us, pis, zs)
-        return Trajectory(formulation, taus, xs, us, pis, spins, residuals=res)
-    xs, pis, phis = out[:, 0:4].real, out[:, 4:8].real, out[:, 8:12]
-    us = velocity_observable(phis)
-    spin_tensors = spin_tensor_observable(phis)
-    zs = _z_of(spin_tensors, pis)
+    elif formulation == "spintensor":
+        xs, us, pis, spins = out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:18]
+        zs = z_from_spin(antisymmetric_tensor(spins[:, :3], spins[:, 3:]), pis)
+    else:
+        xs, pis, phis = out[:, 0:4].real, out[:, 4:8].real, out[:, 8:12]
+        us = velocity_observable(phis)
+        spin_tensors = spin_tensor_observable(phis)
+        zs = z_from_spin(spin_tensors, pis)
+        spins = np.hstack(antisymmetric_parts(spin_tensors))
     res = _residual_arrays(us, pis, zs)
-    spins = np.hstack(antisymmetric_parts(spin_tensors))
-    return Trajectory(formulation, taus, xs, us, pis, spins, phis=phis, residuals=res)
+    return Trajectory(formulation, taus, xs, us, pis, spins, ys=ys, phis=phis, residuals=res)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +294,16 @@ def map_states(state: DynState, target: str) -> DynState:
     """
     if target not in FORMULATIONS:
         raise ValueError(f"unknown formulation {target!r}")
-    source = formulation_of(state)
-    if source == target:
+    if state.formulation == target:
         return state
     if target == "spinor":
         raise ValueError(
             "no constructive map into the spinor formulation; "
             "use matched_initial_states for rest-frame spin states"
         )
-    u = velocity_of(state)
-    if isinstance(state, PositionState):
-        spin = build_spin_tensor(state.z, state.u)
-        return SpinTensorState(state.x, state.u, spin, state.pi)
-    if isinstance(state, SpinTensorState):
-        z = local_vector(state)
-        return PositionState(state.x, state.u, state.x - z, state.pi)
-    # spinor source
-    spin = spin_tensor_observable(state.phi)
-    if target == "spintensor":
-        return SpinTensorState(state.x, u, spin, state.pi)
-    return PositionState(state.x, u, state.x - local_vector(state), state.pi)
+    if target == "position":
+        return PositionState(state.x, state.u, state.x - state.z, state.pi)
+    return SpinTensorState(state.x, state.u, state.spin, state.pi)
 
 
 def matched_initial_states(
@@ -534,7 +492,7 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
         assert traj.ys is not None
         zs = xs - traj.ys
     else:
-        zs = _z_of(spins, pis)
+        zs = z_from_spin(spins, pis)
     out["energy_residual"] = float(
         np.abs(mdot(pis, pis) / MASS - MASS * C**2 - mdot(fs, zs)).max()
     )

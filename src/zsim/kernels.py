@@ -404,7 +404,6 @@ RHS = {
     "spinor": rhs_spinor,
 }
 
-STATE_WIDTH = {"position": 16, "spintensor": 18, "spinor": 12}
 STATE_DTYPE = {
     "position": np.float64,
     "spintensor": np.float64,

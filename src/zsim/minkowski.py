@@ -152,7 +152,3 @@ def boost_vector(a: np.ndarray, params: BoostParams) -> np.ndarray:
     """Boost a four-vector (or stack of shape (..., 4)) to the observer frame."""
     return np.asarray(a) @ boost_matrix(params).T
 
-
-def unboost_vector(a: np.ndarray, params: BoostParams) -> np.ndarray:
-    """Inverse of boost_vector (observer frame back to rest frame)."""
-    return np.asarray(a) @ boost_matrix(BoostParams(-params.velocity)).T

@@ -31,7 +31,6 @@ from .spinor import (
     evolve_amplitudes,
     spin_tensor_observable,
     tdot_of,
-    velocity_observable,
 )
 
 PI_REST = np.array([MASS * C, 0.0, 0.0, 0.0])
@@ -160,13 +159,6 @@ def velocity_superposition(theta: float, phi: float, taus) -> np.ndarray:
     out[:, 2] = C * (cp * sw + ct * sp * cw)
     out[:, 3] = -C * st * cw
     return out
-
-
-def velocity_from_amplitudes(theta: float, phi: float, taus) -> np.ndarray:
-    """Local velocity from the evolved amplitudes (bilinear route)."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=np.float64))
-    evolved = evolve_amplitudes(spin_amplitudes(theta, phi), PI_REST, taus)
-    return velocity_observable(evolved)
 
 
 # ---------------------------------------------------------------------------

@@ -16,18 +16,26 @@ report scaled max-norm residuals so corrupted states are detectable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .constants import C, H_STAR, HBAR, MASS, OMEGA0
 from .emfield import FieldModel, field_tensor, force_at
 from .minkowski import METRIC, Vec4, antisymmetric_parts, lower, mdot, wedge
-from .states import PositionState
+
+if TYPE_CHECKING:  # states imports this module at run time
+    from .states import PositionState
 
 
 def build_spin_tensor(z: Vec4, u: Vec4) -> np.ndarray:
     """S^{mu nu} = -m (z^mu u^nu - z^nu u^mu)."""
     return -MASS * wedge(z, u)
+
+
+def z_from_spin(spin: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """z = -S pi / (m c)^2 for a spin tensor (..., 4, 4) and momentum (..., 4)."""
+    return -(spin @ lower(pi)[..., None])[..., 0] / (MASS * C) ** 2
 
 
 def accel_spin_tensor(u: Vec4, udot: Vec4) -> np.ndarray:
@@ -110,7 +118,7 @@ def identity_suite(state: PositionState) -> dict[str, float]:
     z = state.z
     u = state.u
     pi = state.pi
-    spin = build_spin_tensor(z, u)
+    spin = state.spin
     udot = -(OMEGA0**2) * z
     zdot = u - pi / MASS
 
@@ -165,7 +173,7 @@ def interaction_energy(
     """
     e_vec, b_vec = model.eb_at(state.x)
     f = force_at(model, q, state.x, state.u)
-    spin = build_spin_tensor(state.z, state.u)
+    spin = state.spin
     d, s = antisymmetric_parts(spin)
 
     phi_force = float(mdot(f, state.z))
@@ -217,8 +225,7 @@ def energy_diagnostics(
     kinetic_error = energy - (MASS * C**2 + 0.5 * MASS * v2 + 0.5 * phi)
 
     e_vec, _ = model.eb_at(state.x)
-    spin = build_spin_tensor(state.z, state.u)
-    _, s = antisymmetric_parts(spin)
+    _, s = antisymmetric_parts(state.spin)
     tdot = state.u[0] / C
     dominant = float(
         -(q / (MASS**2 * C**2)) * np.dot(np.cross(e_vec, pi[1:]), s) / tdot
@@ -247,13 +254,9 @@ def angular_momentum(state: PositionState) -> AngularMomentum:
     The three-vector form is J = x cross P - s.
     """
     orbital = wedge(state.x, state.pi)
-    spin = build_spin_tensor(state.z, state.u)
+    spin = state.spin
     _, s = antisymmetric_parts(spin)
     total = orbital + spin
     j_vec = np.cross(state.x[1:], state.pi[1:]) - s
     return AngularMomentum(orbital=orbital, spin=spin, total=total, total_vector=j_vec)
 
-
-def torque_tensor(x: Vec4, f: Vec4) -> np.ndarray:
-    """External torque M = x ^ f driving dJ/dtau."""
-    return wedge(x, f)

@@ -3,9 +3,13 @@
 * ``PositionState``: total position x, total velocity u, spin-center
   position y, and conjugate momentum pi.
 * ``SpinTensorState``: x, u, the antisymmetric spin tensor S, and pi.
-* ``SpinorState``: x, complex amplitudes phi, and pi (u is derived).
+* ``SpinorState``: x, complex amplitudes phi, and pi.
 
-All are immutable records of contravariant components in natural units.
+Every state answers for its own formulation: the class constant
+``formulation`` names it, and the properties ``u``, ``z`` (the local
+spin-motion vector x - y) and ``spin`` (the tensor S) give the same
+physical quantities whichever fields the formulation stores.  All are
+immutable records of contravariant components in natural units.
 ``Trajectory`` stores the sampled output of an integration run together
 with per-sample constraint residuals.
 """
@@ -13,11 +17,13 @@ with per-sample constraint residuals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
 from .minkowski import Vec4, antisymmetric_tensor, assert_finite
+from .spinor import spin_tensor_observable, velocity_observable
+from .spintensor import build_spin_tensor, z_from_spin
 
 
 def _as_vec4(a, name: str) -> np.ndarray:
@@ -28,6 +34,7 @@ def _as_vec4(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PositionState:
+    formulation: ClassVar[str] = "position"
     x: Vec4
     u: Vec4
     y: Vec4
@@ -42,9 +49,15 @@ class PositionState:
         """Local spin-motion vector z = x - y."""
         return self.x - self.y
 
+    @property
+    def spin(self) -> np.ndarray:
+        """Spin tensor S = -m (z ^ u)."""
+        return build_spin_tensor(self.z, self.u)
+
 
 @dataclass(frozen=True)
 class SpinTensorState:
+    formulation: ClassVar[str] = "spintensor"
     x: Vec4
     u: Vec4
     spin: np.ndarray
@@ -59,9 +72,15 @@ class SpinTensorState:
             raise ValueError("spin tensor must be antisymmetric")
         object.__setattr__(self, "spin", s)
 
+    @property
+    def z(self) -> Vec4:
+        """Local spin-motion vector z = -S pi / (m c)^2."""
+        return z_from_spin(self.spin, self.pi)
+
 
 @dataclass(frozen=True)
 class SpinorState:
+    formulation: ClassVar[str] = "spinor"
     x: Vec4
     phi: np.ndarray
     pi: Vec4
@@ -74,20 +93,25 @@ class SpinorState:
             raise ValueError("phi has non-finite components")
         object.__setattr__(self, "phi", phi)
 
+    @property
+    def u(self) -> Vec4:
+        """Four-velocity u = phibar c gamma phi."""
+        return velocity_observable(self.phi)
+
+    @property
+    def spin(self) -> np.ndarray:
+        """Spin tensor S = phibar S-op phi."""
+        return spin_tensor_observable(self.phi)
+
+    @property
+    def z(self) -> Vec4:
+        """Local spin-motion vector z = -S pi / (m c)^2."""
+        return z_from_spin(self.spin, self.pi)
+
 
 DynState = Union[PositionState, SpinTensorState, SpinorState]
 
 FORMULATIONS = ("position", "spintensor", "spinor")
-
-
-def formulation_of(state: DynState) -> str:
-    if isinstance(state, PositionState):
-        return "position"
-    if isinstance(state, SpinTensorState):
-        return "spintensor"
-    if isinstance(state, SpinorState):
-        return "spinor"
-    raise TypeError(f"not a dynamical state: {type(state)!r}")
 
 
 @dataclass

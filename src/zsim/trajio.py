@@ -39,38 +39,16 @@ def column_names(formulation: str) -> list[str]:
     return _COMMON_HEAD + _BLOCKS[formulation] + _COMMON_TAIL
 
 
-def _block_array(traj: Trajectory) -> np.ndarray:
-    if traj.formulation == "position":
-        assert traj.ys is not None
-        return traj.ys
-    if traj.formulation == "spintensor":
-        return traj.spins
-    assert traj.phis is not None
-    out = np.empty((len(traj), 8))
-    out[:, 0::2] = traj.phis.real
-    out[:, 1::2] = traj.phis.imag
-    return out
-
-
 def row_table(traj: Trajectory) -> np.ndarray:
     """All columns as one float array (samples, columns)."""
+    if traj.formulation == "spinor":
+        block = traj.phis.view(np.float64)  # re and im interleaved
+    else:
+        block = traj.ys if traj.formulation == "position" else traj.spins
     res = traj.residuals
-    cols = [
-        traj.taus,
-        traj.xs[:, 0],
-        traj.xs[:, 1],
-        traj.xs[:, 2],
-        traj.xs[:, 3],
-        traj.us[:, 0],
-        traj.us[:, 1],
-        traj.us[:, 2],
-        traj.us[:, 3],
-    ]
-    block = _block_array(traj)
-    cols.extend(block[:, j] for j in range(block.shape[1]))
-    cols.extend(traj.pis[:, j] for j in range(4))
-    cols.extend(res[k] for k in ("c1", "c2", "c3", "g"))
-    return np.column_stack(cols)
+    return np.column_stack(
+        [traj.taus, traj.xs, traj.us, block, traj.pis, *(res[k] for k in ("c1", "c2", "c3", "g"))]
+    )
 
 
 def _write_table(path, names: list[str], table: np.ndarray) -> None:

@@ -55,7 +55,6 @@ from zsim.spinstates import (
     sample_measurements,
     spin_amplitudes,
     superposition_amplitude_identity,
-    velocity_from_amplitudes,
     velocity_superposition,
 )
 from zsim.spintensor import build_spin_tensor, identity_suite, interaction_energy
@@ -306,7 +305,8 @@ def test_criterion_08_superposition():
         us = velocity_superposition(theta, phi, taus)
         worst_vel = max(
             worst_vel,
-            float(np.abs(us - velocity_from_amplitudes(theta, phi, taus)).max()),
+            float(np.abs(us - velocity_observable(
+                evolve_amplitudes(spin_amplitudes(theta, phi), PI_REST, taus))).max()),
         )
         n = axis_vector(theta, phi)
         worst_geom = max(

@@ -9,7 +9,6 @@ from zsim.constants import C, MASS, OMEGA0, Q_ELECTRON, R0, T0
 from zsim.dynamics import (
     ConstraintViolationError,
     IntegrationDivergedError,
-    closed_form_free,
     compare_formulations,
     conservation_drift,
     constraint_residuals,
@@ -19,14 +18,12 @@ from zsim.dynamics import (
     fourth_order_residual,
     free_motion,
     integrate,
-    local_vector,
     map_states,
     matched_initial_states,
     oracle_errors,
     pack_state,
     unpack_state,
     validate_state,
-    velocity_of,
 )
 from zsim.emfield import FreeField, UniformEB
 from zsim.minkowski import antisymmetric_parts, antisymmetric_tensor, mdot
@@ -46,7 +43,7 @@ def test_pack_unpack_round_trip():
     states = boosted_states()
     for name, state in states.items():
         packed = pack_state(state)
-        assert packed.shape[0] == kernels.STATE_WIDTH[name]
+        assert packed.shape[0] == {"position": 16, "spintensor": 18, "spinor": 12}[name]
         back = unpack_state(name, packed)
         assert np.allclose(pack_state(back), packed, atol=0.0)
     # the layout pair on a stack: (N, 6) parts -> (N, 4, 4) tensors -> parts
@@ -98,17 +95,6 @@ def test_rk4_convergence_fourth_order():
     assert 10.0 < ratio < 22.0, f"convergence ratio {ratio}, errors {errs}"
 
 
-def test_closed_form_free_matches_free_motion():
-    state = boosted_states()["position"]
-    taus = np.linspace(0.0, 3 * T0, 7)
-    xs, us, ys = free_motion(state, taus)
-    for k, tau in enumerate(taus):
-        single = closed_form_free(state, float(tau))
-        assert np.allclose(single.x, xs[k], atol=1e-14)
-        assert np.allclose(single.u, us[k], atol=1e-14)
-        assert np.allclose(single.y, ys[k], atol=1e-14)
-
-
 def test_free_motion_preserves_constraints():
     state = boosted_states()["position"]
     taus = np.linspace(0.0, 5 * T0, 64)
@@ -126,9 +112,11 @@ def test_matched_states_are_consistent(theta, phi):
     pos, tensor, spinor = states["position"], states["spintensor"], states["spinor"]
     assert np.allclose(pos.x, tensor.x, atol=0.0)
     assert np.allclose(pos.x, spinor.x, atol=0.0)
-    assert np.allclose(velocity_of(spinor), pos.u, atol=1e-13)
-    assert np.allclose(local_vector(tensor), pos.z, atol=1e-13)
-    assert np.allclose(local_vector(spinor), pos.z, atol=1e-13)
+    assert np.allclose(spinor.u, pos.u, atol=1e-13)
+    assert np.allclose(tensor.z, pos.z, atol=1e-13)
+    assert np.allclose(spinor.z, pos.z, atol=1e-13)
+    assert np.allclose(tensor.spin, pos.spin, atol=1e-13)
+    assert np.allclose(spinor.spin, pos.spin, atol=1e-13)
     for state in states.values():
         validate_state(state, tol=1e-10)
 
@@ -156,8 +144,7 @@ def test_matched_states_phase_rotates_start_point():
                                     phase=0.7)
     for state in states.values():
         validate_state(state, tol=1e-12)
-    assert np.allclose(velocity_of(states["spinor"]), states["position"].u,
-                       atol=1e-13)
+    assert np.allclose(states["spinor"].u, states["position"].u, atol=1e-13)
 
     # phase advances the same free motion: state at phase p equals the
     # phase-0 state evolved by p / w0 (up to the spin-center drift).
@@ -225,8 +212,9 @@ def test_integrate_rejects_bad_arguments():
     pos = boosted_states()["position"]
     with pytest.raises(ValueError):
         integrate(pos, FreeField(), T0 / 100, 101, record_every=10)
-    with pytest.raises(ValueError):
-        integrate(pos, FreeField(), -0.1, 100)
+    for dt in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            integrate(pos, FreeField(), dt, 100)
     with pytest.raises(ValueError, match="at least 1"):
         integrate(pos, FreeField(), T0 / 100, 100, record_every=0)
     with pytest.raises(ValueError, match="at least 1"):
@@ -390,8 +378,8 @@ def test_spinor_velocity_stays_null_under_field():
     assert nulls < 1e-10, f"null residual {nulls}"
 
 
-def test_local_vector_radius():
+def test_spin_tensor_state_z_radius():
     state = boosted_states()["spintensor"]
-    z = local_vector(state)
+    z = state.z
     assert mdot(z, z) == pytest.approx(-(R0**2), abs=1e-13)
     assert OMEGA0 * R0 == pytest.approx(C)

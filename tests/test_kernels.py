@@ -31,7 +31,7 @@ ARRAY_KERNELS = {
 }
 FIELDS = {
     "free": (kernels.FIELD_FREE, np.zeros(1)),
-    "uniform": (kernels.FIELD_UNIFORM, np.array([1e-4, 0.0, 0.0, 0.0, 0.0, 2e-3])),
+    "uniform": (kernels.FIELD_UNIFORM, np.array([1e-4, -2e-4, 3e-4, 4e-4, -5e-4, 2e-3])),
     "coulomb": (kernels.FIELD_COULOMB, np.array([1.0, 0.0, 30.0, 0.0])),
 }
 # spatial u and pi, and d and s, in each packed layout

@@ -19,7 +19,6 @@ from zsim.minkowski import (
     lower,
     mdot,
     spatial,
-    unboost_vector,
     wedge,
 )
 
@@ -178,7 +177,7 @@ def test_boost_inner_product_error_is_at_the_rounding_floor(a, b, v):
 @given(a=vec4s(), params=boost_params())
 @settings(max_examples=200, deadline=None)
 def test_boost_round_trip(a, params):
-    again = unboost_vector(boost_vector(a, params), params)
+    again = boost_vector(boost_vector(a, params), BoostParams(-params.velocity))
     assert np.allclose(again, a, atol=1e-10 * max(1.0, np.abs(a).max()))
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsim.constants import C, H_STAR, HBAR, OMEGA0, T0
 from zsim.minkowski import mdot
-from zsim.spinor import observable, velocity_observable
+from zsim.spinor import evolve_amplitudes, observable, velocity_observable
 from zsim.spinstates import (
     PI_REST,
     axis_noncommutativity,
@@ -26,7 +26,6 @@ from zsim.spinstates import (
     superposition_amplitude_identity,
     transition_probability,
     velocity_down,
-    velocity_from_amplitudes,
     velocity_superposition,
     velocity_up,
 )
@@ -91,7 +90,7 @@ def test_velocity_closed_forms_match_bilinear(theta, phi):
     """The cos/sin component formulas equal the amplitude-route velocity."""
     taus = np.linspace(0.0, T0, 13)
     direct = velocity_superposition(theta, phi, taus)
-    via_amps = velocity_from_amplitudes(theta, phi, taus)
+    via_amps = velocity_observable(evolve_amplitudes(spin_amplitudes(theta, phi), PI_REST, taus))
     assert np.abs(direct - via_amps).max() < 1e-13
 
 

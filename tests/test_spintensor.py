@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsim.constants import C, H_STAR, HBAR, MASS, OMEGA0, Q_ELECTRON, R0, T0
 from zsim.dynamics import free_motion, matched_initial_states
-from zsim.emfield import CoulombField, FreeField, UniformEB, force_at
+from zsim.emfield import CoulombField, FreeField, UniformEB
 from zsim.minkowski import antisymmetric_parts, lower
 from zsim.spinstates import axis_vector
 from zsim.spintensor import (
@@ -18,7 +18,6 @@ from zsim.spintensor import (
     interaction_energy,
     scalar_invariant,
     spin_vectors_direct,
-    torque_tensor,
     triad_residuals,
 )
 from zsim.states import PositionState
@@ -304,15 +303,6 @@ def test_angular_momentum_vector_form():
     _, s = antisymmetric_parts(am.spin)
     want = np.cross(state.x[1:], state.pi[1:]) - s
     assert np.allclose(am.total_vector, want, atol=1e-15)
-
-
-def test_torque_tensor_antisymmetric_and_free_zero():
-    state = matched_initial_states(0.3, 0.1)["position"]
-    f = force_at(UniformEB(b0=np.array([0.0, 0.0, 1e-3])), Q_ELECTRON, state.x, state.u)
-    m = torque_tensor(state.x, f)
-    assert np.allclose(m, -m.T, atol=1e-18)
-    f0 = force_at(FreeField(), Q_ELECTRON, state.x, state.u)
-    assert not torque_tensor(state.x, f0).any()
 
 
 def test_spin_magnitude_scales_with_tdot():
