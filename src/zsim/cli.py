@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, spinor, spinstates, spintensor, trajio, wavefield
+from .constants import C, MASS, OMEGA0
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -156,6 +157,8 @@ def _identity_checks() -> list[tuple[str, float, float]]:
 def cmd_verify(args) -> int:
     checks: list[tuple[str, float, float]] = []
     if args.suite == "identities":
+        if args.scenario is not None:
+            raise ScenarioError("verify --suite identities takes no --scenario")
         checks = _identity_checks()
     else:
         if args.scenario is None:
@@ -273,6 +276,10 @@ def cmd_ensemble(args) -> int:
         parse_angle(args.theta), parse_angle(args.phi),
         velocity=parse_velocity(args.velocity, "--velocity"),
     )["position"]
+    # w0 |tau0| at the far corner of the box plus the span: the largest phase a flow evaluates
+    box_phase = OMEGA0 * args.box * float(np.abs(state.pi[1:]).sum()) / (MASS * C**2)
+    if box_phase + 2.0 * math.pi * args.periods > _MAX_PHASE:
+        raise ScenarioError(f"--box {args.box!r} takes the zitter phase past 2**51 at this --velocity")
     t0 = time.perf_counter()
     report = wavefield.ensemble_uniformity(
         state,
@@ -339,9 +346,11 @@ _SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "": lam
 # 208063**3 <= 2**53 < 208064**3 and 94906265 = isqrt(2**53).  Both ensemble
 # flows are closed forms whose cost does not depend on --periods; its bound,
 # 2**53 / 50, keeps the zitter phase they evaluate, 2 pi periods, below 2**51,
-# where the float spacing of that phase is at most a quarter radian.
+# where the float spacing of that phase is at most a quarter radian; cmd_ensemble
+# holds that span plus the start phases across --box to the same _MAX_PHASE.
 _MAX_SIZE = 2**53
 _MAX_PERIODS = _MAX_SIZE / 50
+_MAX_PHASE = 2.0**51
 _MAX_BINS = 208_063
 _MAX_POINTS = 94_906_265
 

@@ -45,7 +45,6 @@ from .spinor import (
     evolve_amplitudes,
     spin_tensor_observable,
     state_derivative,
-    tdot_of,
     velocity_observable,
 )
 from .spinstates import spin_amplitudes
@@ -133,13 +132,12 @@ def constraint_residuals(state: DynState) -> dict[str, float]:
 
 
 def validate_state(state: DynState, tol: float = 1e-10) -> None:
-    """Raise ConstraintViolationError for residuals beyond ``tol``."""
-    res = constraint_residuals(state)
+    """Raise ConstraintViolationError for residuals beyond ``tol`` or tdot = u^0 <= 0."""
+    u = state.u
+    res = _residual_arrays(u, state.pi, state.z)
     failures = [(k, v) for k, v in res.items() if abs(v) > tol]
-    if isinstance(state, SpinorState):
-        tdot = tdot_of(state)
-        if tdot <= 0.0:
-            failures.append(("tdot_positive", tdot))
+    if u[0] <= 0.0:
+        failures.append(("tdot_positive", float(u[0])))
     if failures:
         raise ConstraintViolationError(failures)
 
@@ -374,36 +372,13 @@ class ComparisonReport:
     per_pair: dict[str, dict[str, float]]
     overall: float
 
-    def worst_pair(self) -> tuple[str, float]:
-        worst = max(self.per_pair.items(), key=lambda kv: max(kv[1].values()))
-        return worst[0], max(worst[1].values())
 
-
-def compare_formulations(
-    initial: dict[str, DynState],
-    model: FieldModel,
-    dt: float,
-    n_steps: int,
-    q: float = Q_ELECTRON,
-    record_every: int = 1,
-    validate: bool = True,
-) -> tuple[ComparisonReport, dict[str, Trajectory]]:
-    """Integrate each formulation and report pairwise trajectory divergence.
+def compare_trajectories(trajs: dict[str, Trajectory]) -> ComparisonReport:
+    """Pairwise divergence of already-integrated trajectories.
 
     Divergence is the max absolute componentwise difference over the
     shared sample grid, per variable (x, u, pi, d, s).
     """
-    trajs = {
-        name: integrate(
-            st, model, dt, n_steps, q=q, record_every=record_every, validate=validate
-        )
-        for name, st in initial.items()
-    }
-    return compare_trajectories(trajs), trajs
-
-
-def compare_trajectories(trajs: dict[str, Trajectory]) -> ComparisonReport:
-    """Pairwise divergence of already-integrated trajectories."""
     arrays = {}
     for name, tr in trajs.items():
         arrays[name] = {"x": tr.xs, "u": tr.us, "pi": tr.pis,

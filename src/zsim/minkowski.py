@@ -58,11 +58,6 @@ def wedge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., :, None] * b[..., None, :] - b[..., :, None] * a[..., None, :]
 
 
-def spatial(a: np.ndarray) -> np.ndarray:
-    """Spatial part of a four-vector (last three components)."""
-    return np.asarray(a)[..., 1:]
-
-
 def antisymmetric_tensor(d: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Antisymmetric 4x4 tensor T from its time-space part d and space part s.
 

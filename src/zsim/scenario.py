@@ -192,6 +192,9 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
         raise ScenarioError(f"bad numeric value: {exc}") from None
     if steps_per_period <= 0 or record_every <= 0 or periods <= 0:
         raise ScenarioError("run parameters must be positive")
+    for key, tol in tolerances.items():  # no value passes a gate of zero or below
+        if tol <= 0:
+            raise ScenarioError(f"tolerances.{key} must be positive, got {tol!r}")
     # tau = k * dt is exact only while the step index k fits a float's mantissa
     if steps_per_period > 2**53 or periods * steps_per_period > 2**53:
         raise ScenarioError(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .constants import C, HBAR, MASS, OMEGA0, OMEGA1, REST_ENERGY
+from .constants import C, HBAR, MASS, OMEGA1, REST_ENERGY
 from .minkowski import METRIC, BoostParams, Vec4, lower, mdot
 
 Amplitudes = NDArray[np.complex128]
@@ -205,26 +205,6 @@ def energy_split(amps, pi: Vec4) -> tuple[Amplitudes, Amplitudes]:
     p_plus, p_minus = energy_projectors(pi)
     a = _amps(amps)
     return p_plus @ a, p_minus @ a
-
-
-def velocity_closed_form(amps, pi: Vec4, taus) -> np.ndarray:
-    """Four-velocity along the motion without evolving the state:
-
-    u(tau) = (u(0) - pi / m) cos(w0 tau) + (udot(0) / w0) sin(w0 tau) + pi / m
-
-    with u(0) and udot(0) = (4 c^2 / hbar^2) S(0) pi read off the initial
-    amplitudes.  Returns shape (4,) for scalar tau, else (N, 4).
-    """
-    a = _amps(amps)
-    u0 = velocity_observable(a)
-    s0 = spin_tensor_observable(a)
-    udot0 = (4.0 * C**2 / HBAR**2) * (s0 @ lower(pi))
-    drift = np.asarray(pi, dtype=np.float64) / MASS
-    taus_arr = np.atleast_1d(np.asarray(taus, dtype=np.float64))
-    cos = np.cos(OMEGA0 * taus_arr)[:, None]
-    sin = np.sin(OMEGA0 * taus_arr)[:, None]
-    u = (u0 - drift)[None, :] * cos + (udot0 / OMEGA0)[None, :] * sin + drift
-    return u[0] if np.ndim(taus) == 0 else u
 
 
 def boost_state(amps, params: BoostParams) -> Amplitudes:

@@ -28,7 +28,6 @@ from .minkowski import antisymmetric_parts
 from .spinor import (
     PAULI,
     StateFunction,
-    evolve_amplitudes,
     spin_tensor_observable,
     tdot_of,
 )
@@ -91,13 +90,6 @@ def spin_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
         [em * math.cos(half), ep * math.sin(half), -em * math.sin(half), ep * math.cos(half)],
         dtype=np.complex128,
     )
-
-
-def spin_state(theta: float, phi: float = 0.0, tau: float = 0.0) -> StateFunction:
-    """Rest-frame spin state evolved to proper time tau."""
-    amps = spin_amplitudes(theta, phi)
-    evolved = evolve_amplitudes(amps, PI_REST, tau)
-    return StateFunction(evolved, tau)
 
 
 def polarization_vector(amps: np.ndarray) -> np.ndarray:

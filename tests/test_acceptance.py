@@ -19,7 +19,6 @@ The criteria are:
 12. byte-identical artifacts on repeated runs
 """
 
-import json
 import time
 
 import numpy as np
@@ -29,8 +28,8 @@ from zsim.cli import EXIT_OK, main
 from zsim.constants import C, H_STAR, MASS, OMEGA0, Q_ELECTRON, T0
 from zsim.dynamics import (
     ConstraintViolationError,
-    compare_formulations,
-    conservation_drift,
+    compare_trajectories,
+    free_motion,
     integrate,
     matched_initial_states,
     oracle_errors,
@@ -44,7 +43,6 @@ from zsim.spinor import (
     energy_projectors,
     evolve_amplitudes,
     operator_identity_suite,
-    velocity_closed_form,
     velocity_observable,
 )
 from zsim.spinstates import (
@@ -112,24 +110,23 @@ def test_criterion_01_free_oracle(free_runs):
         report(f"criterion 1 runtime[{name}]", seconds, 5.0, "seconds")
 
 
+def equivalence(preset: str) -> tuple[float, float]:
+    """Largest divergence between the preset's formulations, and its tolerance."""
+    sc = load_scenario(preset)
+    rep = compare_trajectories({
+        name: integrate(state, sc.field, sc.dt, sc.n_steps,
+                        q=sc.charge, record_every=sc.record_every)
+        for name, state in sc.states.items()
+    })
+    return rep.overall, sc.tolerances["compare"]
+
+
 def test_criterion_02_equivalence_free(warmed_up):
-    sc = load_scenario("free-boosted")
-    rep, _ = compare_formulations(
-        sc.states, sc.field, sc.dt, sc.n_steps,
-        q=sc.charge, record_every=sc.record_every,
-    )
-    report("criterion 2 equivalence[free, boosted]", rep.overall,
-           sc.tolerances["compare"])
+    report("criterion 2 equivalence[free, boosted]", *equivalence("free-boosted"))
 
 
 def test_criterion_02_equivalence_weak_field(warmed_up):
-    sc = load_scenario("uniform-b-weak")
-    rep, _ = compare_formulations(
-        sc.states, sc.field, sc.dt, sc.n_steps,
-        q=sc.charge, record_every=sc.record_every,
-    )
-    report("criterion 2 equivalence[uniform B]", rep.overall,
-           sc.tolerances["compare"])
+    report("criterion 2 equivalence[uniform B]", *equivalence("uniform-b-weak"))
 
 
 def test_criterion_03_constraint_drift(free_runs, warmed_up):
@@ -175,8 +172,10 @@ def test_criterion_03_negative_controls():
 
     states = boosted_states()
     states["position"] = PositionState(pos.x, pos.u, pos.y, pos.pi * (1 + 1e-4))
-    rep, _ = compare_formulations(states, FreeField(), T0 / 1000, 2000,
-                                  record_every=10, validate=False)
+    rep = compare_trajectories({
+        name: integrate(state, FreeField(), T0 / 1000, 2000, record_every=10, validate=False)
+        for name, state in states.items()
+    })
     detected = rep.overall > 1e-6
     print(f"{'PASS' if detected else 'FAIL'} criterion 3 negative control: "
           f"corrupted momentum diverges {rep.overall:.3e} > 1e-6")
@@ -259,9 +258,9 @@ def test_criterion_06_operator_identities():
     taus = np.linspace(0.0, 2 * T0, 37)
     vel_worst = 0.0
     for theta, phi in ((0.0, 0.0), (THETA, PHI), (2.1, -0.7)):
-        amps = spin_amplitudes(theta, phi)
-        closed = velocity_closed_form(amps, PI_REST, taus)
-        observed = velocity_observable(evolve_amplitudes(amps, PI_REST, taus))
+        closed = free_motion(matched_initial_states(theta, phi)["position"], taus)[1]
+        observed = velocity_observable(
+            evolve_amplitudes(spin_amplitudes(theta, phi), PI_REST, taus))
         vel_worst = max(vel_worst, float(np.abs(closed - observed).max()))
     report("criterion 6 velocity closed form vs observable", vel_worst, 1e-13)
 

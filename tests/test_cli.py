@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, artifact determinism."""
 
+import ast
 import contextlib
 import io
 import json
@@ -207,6 +208,24 @@ def test_import_loads_only_what_it_names():
     assert after_dynamics.isdisjoint({"zsim.wavefield", "zsim.trajio", "zsim.cli"})
 
 
+def test_every_import_is_used():
+    """Each name a module in src/zsim, tests or tools imports (``__future__``
+    aside) is referenced somewhere in that module."""
+    repo = Path(__file__).resolve().parents[1]
+    unused = []
+    for path in sorted(p for d in ("src/zsim", "tests", "tools") for p in (repo / d).glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(repo)}: {name}" for name in sorted(imported - used)]
+    assert unused == []
+
+
 def _main_outcome(argv) -> tuple[int, str]:
     """Exit code and stderr of main(argv), counting argparse exits too."""
     err = io.StringIO()
@@ -293,6 +312,11 @@ _BAD_INI = {
         # --points past int64, where np.linspace would raise IndexError or ValueError
         ["wave", "--scenario", "free-boosted", "--points", "9223372036854775808"],
         ["wave", "--scenario", "free-boosted", "--points", "99999999999999999999999"],
+        # start phases past 2**51 over the box: w0 tau0 overflows, or keeps no zitter phase
+        ["ensemble", "--box", "1e308", "--n", "10"],
+        ["ensemble", "--flow", "corrupted", "--box", "1e200", "--n", "10"],
+        # the identity batteries read no scenario, so a given one would be ignored
+        ["verify", "--suite", "identities", "--scenario", "/nonexistent.ini"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, argv):

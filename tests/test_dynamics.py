@@ -9,7 +9,7 @@ from zsim.constants import C, MASS, OMEGA0, Q_ELECTRON, R0, T0
 from zsim.dynamics import (
     ConstraintViolationError,
     IntegrationDivergedError,
-    compare_formulations,
+    compare_trajectories,
     conservation_drift,
     constraint_residuals,
     deriv_position,
@@ -27,7 +27,7 @@ from zsim.dynamics import (
 )
 from zsim.emfield import FreeField, UniformEB
 from zsim.minkowski import antisymmetric_parts, antisymmetric_tensor, mdot
-from zsim.states import PositionState, SpinorState, SpinTensorState
+from zsim.states import PositionState
 
 theta_st = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phi_st = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
@@ -207,6 +207,13 @@ def test_validator_catches_each_constraint():
         validate_state(PositionState(pos.x, pos.u, pos.y, bad_pi))
     assert any(name == "c3" for name, _ in exc.value.failures)
 
+    # negating u and pi keeps c1, c2, c3 and g but runs coordinate time backwards
+    reversed_pos = PositionState(pos.x, -pos.u, pos.y, -pos.pi)
+    for state in (reversed_pos, map_states(reversed_pos, "spintensor")):
+        with pytest.raises(ConstraintViolationError) as exc:
+            validate_state(state)
+        assert [name for name, _ in exc.value.failures] == ["tdot_positive"]
+
 
 def test_integrate_rejects_bad_arguments():
     pos = boosted_states()["position"]
@@ -337,14 +344,14 @@ def test_fourth_order_equation_of_motion():
 
 def test_compare_formulations_free():
     """All three formulations follow the same free trajectory."""
-    report, trajs = compare_formulations(
-        boosted_states(), FreeField(), T0 / 1000, 2000, record_every=10
-    )
+    report = compare_trajectories({
+        name: integrate(state, FreeField(), T0 / 1000, 2000, record_every=10)
+        for name, state in boosted_states().items()
+    })
     assert report.overall < 1e-9, f"free divergence {report.per_pair}"
-    assert set(trajs) == {"position", "spintensor", "spinor"}
-    pair, worst = report.worst_pair()
-    assert worst == report.overall
-    assert "|" in pair
+    assert set(report.per_pair) == {"position|spinor", "position|spintensor",
+                                    "spinor|spintensor"}
+    assert report.overall == max(max(entry.values()) for entry in report.per_pair.values())
 
 
 def test_position_flow_constraint_resonance_in_field():

@@ -18,7 +18,6 @@ from zsim.minkowski import (
     gamma_of,
     lower,
     mdot,
-    spatial,
     wedge,
 )
 
@@ -179,11 +178,6 @@ def test_boost_inner_product_error_is_at_the_rounding_floor(a, b, v):
 def test_boost_round_trip(a, params):
     again = boost_vector(boost_vector(a, params), BoostParams(-params.velocity))
     assert np.allclose(again, a, atol=1e-10 * max(1.0, np.abs(a).max()))
-
-
-def test_spatial_slice():
-    a = fvec(9.0, 1.0, 2.0, 3.0)
-    assert np.array_equal(spatial(a), [1.0, 2.0, 3.0])
 
 
 @given(a=vec4s(), b=vec4s())

@@ -8,7 +8,6 @@ from zsim.dynamics import matched_initial_states
 from zsim.emfield import CoulombField, FreeField, UniformEB
 from zsim.scenario import (
     PRESETS,
-    Scenario,
     ScenarioError,
     load_scenario,
     parse_angle,
@@ -196,6 +195,8 @@ u = 1 1 0 0
         # finite raw vectors whose spin tensor overflows
         ("[initial]\nmode = raw\nx = 0 0 -1e200 0\nu = 1e200 1e200 0 0\ny = 0 0 0 0\n"
          "pi = 1 0 0 0\n", "cannot build the initial states"),
+        ("[tolerances]\ndrift = -1\n", "tolerances.drift must be positive"),
+        ("[tolerances]\ncompare = 0\n", "tolerances.compare must be positive"),
     ],
 )
 def test_invalid_configs_rejected(tmp_path, body, message):

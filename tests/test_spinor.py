@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zsim.constants import C, HBAR, MASS, OMEGA0, REST_ENERGY, T0
+from zsim.dynamics import free_motion, matched_initial_states
 from zsim.minkowski import METRIC, BoostParams, boost_vector, gamma_of, lower, mdot
 from zsim.spinor import (
     GAMMA,
@@ -24,7 +25,6 @@ from zsim.spinor import (
     operator_identity_suite,
     spin_tensor_observable,
     state_derivative,
-    velocity_closed_form,
     velocity_observable,
 )
 from zsim.spinstates import PI_REST, spin_amplitudes
@@ -196,11 +196,11 @@ def test_closed_form_state_validates_inputs():
 @given(theta=theta_st, phi=phi_st)
 @settings(max_examples=100, deadline=None)
 def test_velocity_closed_form_matches_evolution(theta, phi):
-    """The cos/sin velocity formula equals the bilinear of the evolved state."""
-    amps = spin_amplitudes(theta, phi)
+    """The free-motion velocity of the matched rest state equals the
+    bilinear of the evolved spinor."""
     taus = np.linspace(0.0, 2 * T0, 17)
-    via_state = velocity_observable(evolve_amplitudes(amps, PI_REST, taus))
-    direct = velocity_closed_form(amps, PI_REST, taus)
+    via_state = velocity_observable(evolve_amplitudes(spin_amplitudes(theta, phi), PI_REST, taus))
+    direct = free_motion(matched_initial_states(theta, phi)["position"], taus)[1]
     assert np.abs(via_state - direct).max() < 1e-13
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsim.constants import C, H_STAR, HBAR, OMEGA0, T0
 from zsim.minkowski import mdot
-from zsim.spinor import evolve_amplitudes, observable, velocity_observable
+from zsim.spinor import closed_form_state, evolve_amplitudes, observable, velocity_observable
 from zsim.spinstates import (
     PI_REST,
     axis_noncommutativity,
@@ -22,7 +22,6 @@ from zsim.spinstates import (
     sigma_axis_observable,
     spin_amplitudes,
     spin_operator_axis,
-    spin_state,
     superposition_amplitude_identity,
     transition_probability,
     velocity_down,
@@ -201,7 +200,7 @@ def test_pauli_reduction_recovers_two_spinor(theta, phi, tau):
             np.exp(+0.5j * phi) * np.sin(theta / 2),
         ]
     )
-    red = pauli_spinor(spin_state(theta, phi, tau))
+    red = pauli_spinor(closed_form_state(spin_amplitudes(theta, phi), PI_REST, tau))
     assert np.allclose(fix_global_phase(red), fix_global_phase(chi), atol=1e-12)
 
 
@@ -213,7 +212,7 @@ def test_fix_global_phase_normalizes_leading_component():
 
 
 def test_spin_state_velocity_matches_rest_bilinear():
-    state = spin_state(0.7, 0.2, tau=0.9)
+    state = closed_form_state(spin_amplitudes(0.7, 0.2), PI_REST, 0.9)
     u = velocity_observable(state.phi)
     want = velocity_superposition(0.7, 0.2, 0.9)[0]
     assert np.allclose(u, want, atol=1e-13)
