@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, spinor, spinstates, spintensor, trajio, wavefield
-from .constants import C, MASS, OMEGA0
+from .constants import C, MASS, OMEGA0, OMEGA1
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -225,22 +225,13 @@ def cmd_emit(args) -> int:
     sc = load_scenario(args.scenario)
     formulation = args.formulation or _scenario_formulations(sc)[0]
     names = trajio.column_names(formulation)
-    wanted: list[str] = []
-    for col in args.columns:
-        if col == "residuals":
-            wanted.extend(["res_c1", "res_c2", "res_c3", "res_g"])
-        else:
-            wanted.append(col)
+    residuals = ["res_c1", "res_c2", "res_c3", "res_g"]
+    wanted = [c for col in args.columns for c in (residuals if col == "residuals" else [col])]
     unknown = [c for c in wanted if c not in names]
     if unknown:
-        raise ScenarioError(
-            f"unknown columns {unknown} for {formulation}; available: {names}"
-        )
-    traj = _run_one(sc, formulation)
-    table = trajio.row_table(traj)
-    index = {n: j for j, n in enumerate(names)}
-    columns = {"tau": table[:, 0]}
-    columns.update({c: table[:, index[c]] for c in wanted})
+        raise ScenarioError(f"unknown columns {unknown} for {formulation}; available: {names}")
+    table = trajio.row_table(_run_one(sc, formulation))
+    columns = {c: table[:, names.index(c)] for c in ["tau", *wanted]}
     out = _out_dir(args)
     path = out / f"{sc.name}-{formulation}-emit.csv"
     trajio.write_columns_csv(path, columns)
@@ -277,9 +268,8 @@ def cmd_ensemble(args) -> int:
         velocity=parse_velocity(args.velocity, "--velocity"),
     )["position"]
     # w0 |tau0| at the far corner of the box plus the span: the largest phase a flow evaluates
-    box_phase = OMEGA0 * args.box * float(np.abs(state.pi[1:]).sum()) / (MASS * C**2)
-    if box_phase + 2.0 * math.pi * args.periods > _MAX_PHASE:
-        raise ScenarioError(f"--box {args.box!r} takes the zitter phase past 2**51 at this --velocity")
+    _phase_bound(OMEGA0 * args.box * float(np.abs(state.pi[1:]).sum()) / (MASS * C**2)
+                 + 2.0 * math.pi * args.periods, f"--box {args.box!r} and this --velocity")
     t0 = time.perf_counter()
     report = wavefield.ensemble_uniformity(
         state,
@@ -321,11 +311,14 @@ def cmd_wave(args) -> int:
         )
     if args.points < 2:
         raise ScenarioError("--points must be >= 2")
+    cols = [_EVENT_AXES.index(a) for a in axes]
+    # w1 |tau| at the grid corners: the largest phase that psi evaluates
+    _phase_bound(OMEGA1 * float(np.abs(state.pi[cols]).sum()) * args.extent / (2.0 * MASS * C**2),
+                 f"--extent {args.extent!r} on these --axes")
     grid = np.linspace(-args.extent / 2.0, args.extent / 2.0, args.points)
     ga, gb = np.meshgrid(grid, grid, indexing="ij")
     events = np.zeros((args.points * args.points, 4))
-    events[:, _EVENT_AXES.index(axes[0])] = ga.ravel()
-    events[:, _EVENT_AXES.index(axes[1])] = gb.ravel()
+    events[:, cols[0]], events[:, cols[1]] = ga.ravel(), gb.ravel()
     psi = wavefield.wave_function_at(wave, events)
     columns = {name: events[:, j] for j, name in enumerate(_EVENT_AXES)}
     for k in range(4):
@@ -346,13 +339,19 @@ _SIGNS = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0, "": lam
 # 208063**3 <= 2**53 < 208064**3 and 94906265 = isqrt(2**53).  Both ensemble
 # flows are closed forms whose cost does not depend on --periods; its bound,
 # 2**53 / 50, keeps the zitter phase they evaluate, 2 pi periods, below 2**51,
-# where the float spacing of that phase is at most a quarter radian; cmd_ensemble
-# holds that span plus the start phases across --box to the same _MAX_PHASE.
+# where the float spacing of that phase is at most a quarter radian; _phase_bound
+# holds ensemble's span plus its start phases across --box, and wave's phase at
+# its grid corners, to the same _MAX_PHASE.
 _MAX_SIZE = 2**53
 _MAX_PERIODS = _MAX_SIZE / 50
 _MAX_PHASE = 2.0**51
 _MAX_BINS = 208_063
 _MAX_POINTS = 94_906_265
+
+
+def _phase_bound(phase: float, where: str) -> None:
+    if phase > _MAX_PHASE:
+        raise ScenarioError(f"the phase at {where} passes 2**51")
 
 
 def _finite(kind, sign: str = "positive", most=None):

@@ -48,7 +48,6 @@ from .spinor import (
     velocity_observable,
 )
 from .spinstates import spin_amplitudes
-from .spintensor import spin_vectors_direct, z_from_spin
 from .states import (
     DynState,
     FORMULATIONS,
@@ -120,24 +119,28 @@ def deriv_spinor(state: SpinorState, model: FieldModel, q: float = Q_ELECTRON) -
 # Constraint residuals and validation.
 
 
-def constraint_residuals(state: DynState) -> dict[str, float]:
+def constraint_residuals(state: DynState) -> dict[str, float | np.ndarray]:
     """Residuals of C1..C3 and G (all zero for exact states).
 
     * c1 = u.u
     * c2 = z.z + r0^2
     * c3 = pi.u / m - c^2
     * g  = z.pi
+
+    Floats for a single state, per-sample arrays for a stack.
     """
-    return _residual_arrays(state.u, state.pi, state.z)
+    u, z = state.u, state.z
+    dots = mdot(np.array([u, z, state.pi, z]), np.array([u, z, u, state.pi]))
+    uu, zz, piu, zpi = dots.tolist() if dots.ndim == 1 else dots
+    return {"c1": uu, "c2": zz + R0**2, "c3": piu / MASS - C**2, "g": zpi}
 
 
 def validate_state(state: DynState, tol: float = 1e-10) -> None:
     """Raise ConstraintViolationError for residuals beyond ``tol`` or tdot = u^0 <= 0."""
-    u = state.u
-    res = _residual_arrays(u, state.pi, state.z)
+    res = constraint_residuals(state)
     failures = [(k, v) for k, v in res.items() if abs(v) > tol]
-    if u[0] <= 0.0:
-        failures.append(("tdot_positive", float(u[0])))
+    if state.u[0] <= 0.0:
+        failures.append(("tdot_positive", float(state.u[0])))
     if failures:
         raise ConstraintViolationError(failures)
 
@@ -147,7 +150,7 @@ def validate_state(state: DynState, tol: float = 1e-10) -> None:
 
 
 def free_motion(state0: PositionState, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact field-free trajectory arrays (xs, us, ys) at proper times taus.
+    """Exact field-free trajectory arrays (xs, us, centers) at proper times taus.
 
     x(tau) = y(0) + (pi / m) tau + (u(0) - pi / m) sin(w0 tau) / w0
              + z(0) cos(w0 tau)
@@ -161,10 +164,10 @@ def free_motion(state0: PositionState, taus) -> tuple[np.ndarray, np.ndarray, np
     cos = np.cos(OMEGA0 * taus)[:, None]
     sin = np.sin(OMEGA0 * taus)[:, None]
     lin = taus[:, None] * drift[None, :]
-    ys = state0.y[None, :] + lin
-    xs = ys + (osc_u / OMEGA0)[None, :] * sin + z0[None, :] * cos
+    centers = state0.y[None, :] + lin
+    xs = centers + (osc_u / OMEGA0)[None, :] * sin + z0[None, :] * cos
     us = drift[None, :] + osc_u[None, :] * cos - (OMEGA0 * z0)[None, :] * sin
-    return xs, us, ys
+    return xs, us, centers
 
 
 # ---------------------------------------------------------------------------
@@ -192,23 +195,14 @@ def pack_state(state: DynState) -> np.ndarray:
 
 
 def unpack_state(formulation: str, packed: np.ndarray) -> DynState:
+    """The state in one packed row, or the stacked states of a record array."""
+    x = packed[..., 0:4]
     if formulation == "position":
-        return PositionState(packed[0:4], packed[4:8], packed[8:12], packed[12:16])
+        return PositionState(x, packed[..., 4:8], packed[..., 8:12], packed[..., 12:16])
     if formulation == "spintensor":
-        spin = antisymmetric_tensor(packed[12:15], packed[15:18])
-        return SpinTensorState(packed[0:4], packed[4:8], spin, packed[8:12])
-    return SpinorState(packed[0:4].real, packed[8:12], packed[4:8].real)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized per-sample diagnostics.
-
-
-def _residual_arrays(us: np.ndarray, pis: np.ndarray, zs: np.ndarray) -> dict:
-    """Constraint residuals of stacked (..., 4) vectors; floats for single ones."""
-    dots = mdot(np.array([us, zs, pis, zs]), np.array([us, zs, us, pis]))
-    uu, zz, piu, zpi = dots.tolist() if dots.ndim == 1 else dots
-    return {"c1": uu, "c2": zz + R0**2, "c3": piu / MASS - C**2, "g": zpi}
+        spin = antisymmetric_tensor(packed[..., 12:15], packed[..., 15:18])
+        return SpinTensorState(x, packed[..., 4:8], spin, packed[..., 8:12])
+    return SpinorState(x.real, packed[..., 8:12], packed[..., 4:8].real)
 
 
 # ---------------------------------------------------------------------------
@@ -251,31 +245,13 @@ def integrate(
     if status != -1:
         raise IntegrationDivergedError(status * record_every * dt)
     taus = dt * record_every * np.arange(n_rec)
+    states = unpack_state(formulation, out)
     with np.errstate(over="ignore", invalid="ignore"):
-        traj = _trajectory_from_packed(formulation, taus, out)
-    finite = np.logical_and.reduce([np.isfinite(v) for v in traj.residuals.values()])
+        residuals = constraint_residuals(states)
+    finite = np.logical_and.reduce([np.isfinite(v) for v in residuals.values()])
     if not finite.all():
         raise IntegrationDivergedError(float(taus[np.argmin(finite)]))
-    return traj
-
-
-def _trajectory_from_packed(formulation: str, taus: np.ndarray, out: np.ndarray) -> Trajectory:
-    ys = phis = None
-    if formulation == "position":
-        xs, us, ys, pis = out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:16]
-        zs = xs - ys
-        spins = np.hstack(spin_vectors_direct(zs, us))
-    elif formulation == "spintensor":
-        xs, us, pis, spins = out[:, 0:4], out[:, 4:8], out[:, 8:12], out[:, 12:18]
-        zs = z_from_spin(antisymmetric_tensor(spins[:, :3], spins[:, 3:]), pis)
-    else:
-        xs, pis, phis = out[:, 0:4].real, out[:, 4:8].real, out[:, 8:12]
-        us = velocity_observable(phis)
-        spin_tensors = spin_tensor_observable(phis)
-        zs = z_from_spin(spin_tensors, pis)
-        spins = np.hstack(antisymmetric_parts(spin_tensors))
-    res = _residual_arrays(us, pis, zs)
-    return Trajectory(formulation, taus, xs, us, pis, spins, ys=ys, phis=phis, residuals=res)
+    return Trajectory(taus, states, residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +329,12 @@ def oracle_errors(traj: Trajectory, state0: PositionState) -> dict[str, float]:
     The scale for each variable is max(1, closed-form magnitude), so the
     numbers read as relative errors for order-one quantities.
     """
-    xs, us, ys = free_motion(state0, traj.taus)
+    xs, us, centers = free_motion(state0, traj.taus)
     def err(a, b):
         return float((np.abs(a - b) / max(1.0, np.abs(b).max())).max())
     out = {"x": err(traj.xs, xs), "u": err(traj.us, us)}
-    if traj.ys is not None:
-        out["y"] = err(traj.ys, ys)
+    if traj.formulation == "position":
+        out["y"] = err(traj.states.y, centers)
     out["pi"] = err(traj.pis, np.broadcast_to(state0.pi, traj.pis.shape))
     out["overall"] = max(out.values())
     return out
@@ -381,8 +357,8 @@ def compare_trajectories(trajs: dict[str, Trajectory]) -> ComparisonReport:
     """
     arrays = {}
     for name, tr in trajs.items():
-        arrays[name] = {"x": tr.xs, "u": tr.us, "pi": tr.pis,
-                        "d": tr.spins[:, :3], "s": tr.spins[:, 3:]}
+        d, s = antisymmetric_parts(tr.states.spin)
+        arrays[name] = {"x": tr.xs, "u": tr.us, "pi": tr.pis, "d": d, "s": s}
     names = sorted(trajs)
     per_pair: dict[str, dict[str, float]] = {}
     overall = 0.0
@@ -448,9 +424,8 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
     max constraint residuals and the energy-equation residual
     (1/m) pi.pi - m c^2 - f.z.
     """
-    spins = antisymmetric_tensor(traj.spins[:, :3], traj.spins[:, 3:])
     xs, us, pis = traj.xs, traj.us, traj.pis
-    js = wedge(xs, pis) + spins
+    js = wedge(xs, pis) + traj.states.spin
     fs = np.stack([force_at(model, q, x, u) for x, u in zip(xs, us)])
 
     out = dict(traj.max_residuals())
@@ -463,12 +438,7 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
         out["torque_residual"] = float(np.abs(jdot - torque).max())
 
     # Energy equation along the run.
-    if traj.formulation == "position":
-        assert traj.ys is not None
-        zs = xs - traj.ys
-    else:
-        zs = z_from_spin(spins, pis)
     out["energy_residual"] = float(
-        np.abs(mdot(pis, pis) / MASS - MASS * C**2 - mdot(fs, zs)).max()
+        np.abs(mdot(pis, pis) / MASS - MASS * C**2 - mdot(fs, traj.states.z)).max()
     )
     return out

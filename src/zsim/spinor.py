@@ -120,10 +120,10 @@ def velocity_observable(state) -> Vec4:
     """
     phi = _amps(state)
     single = phi.ndim == 1
-    phis = phi.reshape(-1, 4)
-    bar = phis.conj() @ GAMMA0
+    rows = phi.reshape(-1, 4)
+    bar = rows.conj() @ GAMMA0
     # a copy, so the float rows do not hold the complex product alive
-    u = np.einsum("ni,mij,nj->nm", bar, U_OP, phis).real.copy()
+    u = np.einsum("ni,mij,nj->nm", bar, U_OP, rows).real.copy()
     return u[0] if single else u
 
 

@@ -43,18 +43,6 @@ def accel_spin_tensor(u: Vec4, udot: Vec4) -> np.ndarray:
     return (MASS / OMEGA0**2) * wedge(udot, u)
 
 
-def spin_vectors_direct(z: Vec4, u: Vec4) -> tuple[np.ndarray, np.ndarray]:
-    """(d, s) computed directly from z and u, bypassing the matrix.
-
-    Accepts single four-vectors or stacks of shape (N, 4).
-    """
-    z = np.asarray(z)
-    u = np.asarray(u)
-    d = MASS * (u[..., 0:1] * z[..., 1:] - z[..., 0:1] * u[..., 1:])
-    s = MASS * np.cross(z[..., 1:], u[..., 1:])
-    return d, s
-
-
 def scalar_invariant(spin: np.ndarray) -> float:
     """Full contraction S^{mu nu} S_{mu nu} (zero for valid states)."""
     spin_low = METRIC @ spin @ METRIC
@@ -146,8 +134,8 @@ def identity_suite(state: PositionState) -> dict[str, float]:
 class DipoleReport:
     """Field interaction energy split into dipole pieces.
 
-    ``phi`` is the total interaction energy; the three ``phi_via_*``
-    entries are independent computation routes that must agree.
+    ``phi`` is the total interaction energy f.z; the two ``phi_via_*``
+    entries are independent computation routes that must agree with it.
     """
 
     phi: float
@@ -156,7 +144,6 @@ class DipoleReport:
     magnetic_moment: np.ndarray
     electric_moment: np.ndarray
     gamma_implied: float
-    phi_via_force: float
     phi_via_tensor: float
     phi_via_vectors: float
 
@@ -195,7 +182,6 @@ def interaction_energy(
         magnetic_moment=(q / MASS) * s,
         electric_moment=(q / (MASS * C)) * d,
         gamma_implied=gamma_implied,
-        phi_via_force=phi_force,
         phi_via_tensor=phi_tensor,
         phi_via_vectors=u_m + u_e,
     )

@@ -8,26 +8,32 @@
 Every state answers for its own formulation: the class constant
 ``formulation`` names it, and the properties ``u``, ``z`` (the local
 spin-motion vector x - y) and ``spin`` (the tensor S) give the same
-physical quantities whichever fields the formulation stores.  All are
-immutable records of contravariant components in natural units.
-``Trajectory`` stores the sampled output of an integration run together
-with per-sample constraint residuals.
+physical quantities whichever fields the formulation stores.  A state
+holds one sample, or a stack of samples indexed by sample first (four-
+vectors of shape (N, 4), spin tensors (N, 4, 4)); the properties then
+answer per sample.  All are immutable records of contravariant
+components in natural units.  ``Trajectory`` stores the sampled output
+of an integration run as one such stack, together with per-sample
+constraint residuals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
 
-from .minkowski import Vec4, antisymmetric_tensor, assert_finite
+from .minkowski import Vec4, antisymmetric_parts, assert_finite
 from .spinor import spin_tensor_observable, velocity_observable
 from .spintensor import build_spin_tensor, z_from_spin
 
 
-def _as_vec4(a, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64).reshape(4)
+def _as_vec4(a, name: str, dtype=np.float64) -> np.ndarray:
+    arr = np.asarray(a, dtype=dtype)
+    if arr.shape[-1:] != (4,):
+        raise ValueError(f"{name} must have shape (4,) or (N, 4), got {arr.shape}")
     assert_finite(arr, name)
     return arr
 
@@ -66,9 +72,11 @@ class SpinTensorState:
     def __post_init__(self) -> None:
         for name in ("x", "u", "pi"):
             object.__setattr__(self, name, _as_vec4(getattr(self, name), name))
-        s = np.asarray(self.spin, dtype=np.float64).reshape(4, 4)
+        s = np.asarray(self.spin, dtype=np.float64)
+        if s.shape[-2:] != (4, 4):
+            raise ValueError(f"spin must have shape (4, 4) or (N, 4, 4), got {s.shape}")
         assert_finite(s, "spin")
-        if not np.allclose(s, -s.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(s).max())):
+        if np.abs(s + s.swapaxes(-1, -2)).max() > 1e-12 * max(1.0, np.abs(s).max()):
             raise ValueError("spin tensor must be antisymmetric")
         object.__setattr__(self, "spin", s)
 
@@ -88,17 +96,14 @@ class SpinorState:
     def __post_init__(self) -> None:
         for name in ("x", "pi"):
             object.__setattr__(self, name, _as_vec4(getattr(self, name), name))
-        phi = np.asarray(self.phi, dtype=np.complex128).reshape(4)
-        if not np.all(np.isfinite(phi.view(np.float64))):
-            raise ValueError("phi has non-finite components")
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", _as_vec4(self.phi, "phi", np.complex128))
 
-    @property
+    @cached_property
     def u(self) -> Vec4:
         """Four-velocity u = phibar c gamma phi."""
         return velocity_observable(self.phi)
 
-    @property
+    @cached_property
     def spin(self) -> np.ndarray:
         """Spin tensor S = phibar S-op phi."""
         return spin_tensor_observable(self.phi)
@@ -118,11 +123,11 @@ FORMULATIONS = ("position", "spintensor", "spinor")
 class Trajectory:
     """Sampled integration output for one formulation.
 
-    Arrays are indexed by sample.  ``us`` and ``spins``, the six
-    independent spin-tensor components ordered (d1, d2, d3, s1, s2, s3),
-    are stored for every formulation (derived from z and u for position
-    runs, from phi for spinor runs).
-    Residual arrays hold the per-sample constraint values, which are all
+    ``states`` is one state of the run's formulation that holds every
+    sample, its fields stacked and indexed by sample first; ``xs``,
+    ``us``, ``pis`` and ``spins`` read it.  ``spins`` holds the six
+    independent spin-tensor components ordered (d1, d2, d3, s1, s2, s3).
+    ``residuals`` holds the per-sample constraint values, which are all
     zero for exact states:
 
     * ``c1``: u.u
@@ -131,15 +136,15 @@ class Trajectory:
     * ``g``:  z.pi
     """
 
-    formulation: str
     taus: np.ndarray
-    xs: np.ndarray
-    us: np.ndarray
-    pis: np.ndarray
-    spins: np.ndarray
-    ys: np.ndarray | None = None
-    phis: np.ndarray | None = None
-    residuals: dict[str, np.ndarray] = field(default_factory=dict)
+    states: DynState
+    residuals: dict[str, np.ndarray]
+
+    formulation = property(lambda self: self.states.formulation)
+    xs = property(lambda self: self.states.x)
+    us = property(lambda self: self.states.u)
+    pis = property(lambda self: self.states.pi)
+    spins = property(lambda self: np.concatenate(antisymmetric_parts(self.states.spin), axis=-1))
 
     def __len__(self) -> int:
         return self.taus.shape[0]
@@ -156,18 +161,8 @@ class Trajectory:
         return dt
 
     def state_at(self, i: int) -> DynState:
-        """Reconstruct the typed state at sample index i."""
-        i = int(i)
-        if self.formulation == "position":
-            assert self.ys is not None
-            return PositionState(self.xs[i], self.us[i], self.ys[i], self.pis[i])
-        if self.formulation == "spintensor":
-            spin = antisymmetric_tensor(self.spins[i, :3], self.spins[i, 3:])
-            return SpinTensorState(self.xs[i], self.us[i], spin, self.pis[i])
-        if self.formulation == "spinor":
-            assert self.phis is not None
-            return SpinorState(self.xs[i], self.phis[i], self.pis[i])
-        raise ValueError(f"unknown formulation {self.formulation!r}")
+        """The typed state at sample index i."""
+        return type(self.states)(*(getattr(self.states, f.name)[i] for f in fields(self.states)))
 
     def max_residuals(self) -> dict[str, float]:
         return {k: float(np.abs(v).max()) for k, v in self.residuals.items()}

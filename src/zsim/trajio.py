@@ -42,9 +42,9 @@ def column_names(formulation: str) -> list[str]:
 def row_table(traj: Trajectory) -> np.ndarray:
     """All columns as one float array (samples, columns)."""
     if traj.formulation == "spinor":
-        block = traj.phis.view(np.float64)  # re and im interleaved
+        block = traj.states.phi.view(np.float64)  # re and im interleaved
     else:
-        block = traj.ys if traj.formulation == "position" else traj.spins
+        block = traj.states.y if traj.formulation == "position" else traj.spins
     res = traj.residuals
     return np.column_stack(
         [traj.taus, traj.xs, traj.us, block, traj.pis, *(res[k] for k in ("c1", "c2", "c3", "g"))]

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import zsim
 from zsim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
+from zsim.constants import C, MASS, OMEGA1
 from zsim.scenario import load_scenario
 from zsim.trajio import read_csv
 
@@ -94,6 +95,19 @@ def test_wave_grid_export(tmp_path):
     for k in range(4):
         assert origin[4 + 2 * k] == pytest.approx(amps[k].real, abs=1e-15)
         assert origin[5 + 2 * k] == pytest.approx(amps[k].imag, abs=1e-15)
+
+
+def test_wave_phase_bound_reads_the_chosen_axes(tmp_path):
+    """The largest wave phase is w1 (|pi_a| + |pi_b|) extent / (2 m c^2) over the
+    grid axes: the bound sits there, and an axis pair without momentum has none."""
+    pi = load_scenario("free-boosted").initial_state("spinor").pi
+    edge = 2.0**51 * 2.0 * MASS * C**2 / (OMEGA1 * float(abs(pi[0]) + abs(pi[1])))
+    for extent, axes, rc in [(edge * (1 - 1e-9), "x0 x1", EXIT_OK),
+                             (edge * (1 + 1e-9), "x0 x1", EXIT_USAGE),
+                             (1e300, "x2 x3", EXIT_OK)]:
+        argv = ["wave", "--scenario", "free-boosted", "--axes", axes, "--points", "3",
+                "--extent", repr(extent), "--out", str(tmp_path)]
+        assert main(argv) == rc, argv
 
 
 def test_wave_rejects_bad_axes(tmp_path):
@@ -282,6 +296,8 @@ _BAD_INI = {
         ["compare", "--scenario", "free-rest", "--corrupt-momentum", "inf"],
         ["wave", "--scenario", "free-boosted", "--extent", "nan"],
         ["wave", "--scenario", "free-boosted", "--extent", "inf"],
+        # grid corners whose wave phase passes 2**51 keep no phase bits
+        ["wave", "--scenario", "free-boosted", "--extent", "1e300", "--points", "3"],
         # arrays beyond the 2**47-byte address space: allocation fails at once
         ["run", "--scenario", "INI:huge-run"],
         ["wave", "--scenario", "free-boosted", "--points", "5000000"],

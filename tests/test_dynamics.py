@@ -27,7 +27,7 @@ from zsim.dynamics import (
 )
 from zsim.emfield import FreeField, UniformEB
 from zsim.minkowski import antisymmetric_parts, antisymmetric_tensor, mdot
-from zsim.states import PositionState
+from zsim.states import FORMULATIONS, PositionState, SpinTensorState
 
 theta_st = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 phi_st = st.floats(min_value=-np.pi, max_value=np.pi, allow_nan=False)
@@ -98,8 +98,8 @@ def test_rk4_convergence_fourth_order():
 def test_free_motion_preserves_constraints():
     state = boosted_states()["position"]
     taus = np.linspace(0.0, 5 * T0, 64)
-    xs, us, ys = free_motion(state, taus)
-    for x, u, y in zip(xs, us, ys):
+    xs, us, centers = free_motion(state, taus)
+    for x, u, y in zip(xs, us, centers):
         res = constraint_residuals(PositionState(x, u, y, state.pi))
         assert max(abs(v) for v in res.values()) < 1e-12
 
@@ -254,6 +254,29 @@ def test_trajectory_residuals_equal_single_sample_residuals(formulation, model):
         single = constraint_residuals(traj.state_at(i))
         for key, values in traj.residuals.items():
             assert values[i] == single[key], (key, i)
+
+
+@pytest.mark.parametrize("formulation", FORMULATIONS)
+def test_trajectory_states_stack_the_single_states(formulation):
+    """Row i of the stacked u, z and S is, bit for bit, that of record i unpacked
+    alone; sample 0 packs to the initial state's bytes; each is computed once."""
+    state0 = boosted_states()[formulation]
+    traj = integrate(state0, UniformEB(b0=np.array([0.0, 0.0, 1e-3])), T0 / 1000, 100,
+                     record_every=10)
+    assert pack_state(traj.state_at(0)).tobytes() == pack_state(state0).tobytes()
+    assert traj.us is traj.states.u
+    for i in range(len(traj)):
+        single = unpack_state(formulation, pack_state(traj.state_at(i)))
+        for name in ("u", "z", "spin"):
+            assert getattr(traj.states, name)[i].tobytes() == getattr(single, name).tobytes()
+
+
+def test_states_reject_misshapen_fields():
+    pos, st = boosted_states()["position"], boosted_states()["spintensor"]
+    with pytest.raises(ValueError, match="shape"):
+        PositionState(pos.x.reshape(2, 2), pos.u, pos.y, pos.pi)
+    with pytest.raises(ValueError, match="shape"):
+        SpinTensorState(st.x, st.u, st.spin[:, :3], st.pi)
 
 
 def test_trajectory_grid_and_offset():

@@ -169,8 +169,8 @@ def test_evolution_sign_flip_after_one_orbit():
 def test_evolution_preserves_normalization():
     amps = spin_amplitudes(1.2, 2.0)
     taus = np.linspace(0.0, 7.0, 40)
-    phis = evolve_amplitudes(amps, PI_REST, taus)
-    norms = [normalization(p, PI_REST) for p in phis]
+    evolved = evolve_amplitudes(amps, PI_REST, taus)
+    norms = [normalization(p, PI_REST) for p in evolved]
     assert np.allclose(norms, REST_ENERGY, atol=1e-13)
 
 
@@ -231,7 +231,7 @@ def test_velocity_derivative_from_spin_tensor():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 50])
 def test_stacked_bilinears_match_single_state_bytes(n):
-    """Row i of the stacked u and S is the single-state result on phis[i], byte
+    """Row i of the stacked u and S is the single-state result on amplitude row i, byte
     for byte: initial states take the single form, trajectory records the
     stacked one, also as a strided column view of the packed records."""
     pi = momentum_of(np.array([0.3, -0.6, 0.2]))
@@ -239,11 +239,11 @@ def test_stacked_bilinears_match_single_state_bytes(n):
     evolved = evolve_amplitudes(amps, pi, np.linspace(0.0, 3 * T0, n))
     packed = np.zeros((n, 12), dtype=np.complex128)
     packed[:, 8:12] = evolved
-    for phis in (evolved, packed[:, 8:12]):
-        us = velocity_observable(phis)
-        spins = spin_tensor_observable(phis)
+    for stack in (evolved, packed[:, 8:12]):
+        us = velocity_observable(stack)
+        spins = spin_tensor_observable(stack)
         assert us.shape == (n, 4) and spins.shape == (n, 4, 4)
-        for phi, u, spin in zip(phis, us, spins):
+        for phi, u, spin in zip(stack, us, spins):
             assert u.tobytes() == velocity_observable(phi).tobytes()
             assert spin.tobytes() == spin_tensor_observable(phi).tobytes()
 

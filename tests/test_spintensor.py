@@ -17,7 +17,6 @@ from zsim.spintensor import (
     identity_suite,
     interaction_energy,
     scalar_invariant,
-    spin_vectors_direct,
     triad_residuals,
 )
 from zsim.states import PositionState
@@ -44,24 +43,6 @@ def test_rest_spin_vector_follows_axis():
     _, s = antisymmetric_parts(build_spin_tensor(state.z, state.u))
     assert np.allclose(s, H_STAR * axis_vector(theta, phi), atol=1e-14)
     assert np.linalg.norm(s) == pytest.approx(H_STAR, abs=1e-14)
-
-
-def test_decompose_matches_direct_vectors():
-    state = matched_initial_states(1.1, -0.7, velocity=np.array([0.3, 0.1, -0.2]))[
-        "position"
-    ]
-    spin = build_spin_tensor(state.z, state.u)
-    d_m, s_m = antisymmetric_parts(spin)
-    d_d, s_d = spin_vectors_direct(state.z, state.u)
-    assert np.allclose(s_m, s_d, atol=1e-15)
-    assert np.allclose(d_m, d_d, atol=1e-15)
-    # a stack of states gives, row by row, the bits of the single-state call
-    zs = np.stack([state.z, state.u - state.pi, -state.z])
-    us = np.stack([state.u, state.u, state.pi])
-    d_rows, s_rows = spin_vectors_direct(zs, us)
-    for z, u, d_row, s_row in zip(zs, us, d_rows, s_rows):
-        d_one, s_one = spin_vectors_direct(z, u)
-        assert np.array_equal(d_row, d_one) and np.array_equal(s_row, s_one)
 
 
 def test_acceleration_form_equals_wedge_form():
@@ -224,8 +205,8 @@ def test_interaction_energy_routes_agree():
     )["position"]
     model = UniformEB(e0=np.array([2e-4, 0.0, -1e-4]), b0=np.array([0.0, 5e-4, 3e-4]))
     rep = interaction_energy(state, model, Q_ELECTRON)
-    assert rep.phi_via_tensor == pytest.approx(rep.phi_via_force, abs=1e-12)
-    assert rep.phi_via_vectors == pytest.approx(rep.phi_via_force, abs=1e-12)
+    assert rep.phi_via_tensor == pytest.approx(rep.phi, abs=1e-12)
+    assert rep.phi_via_vectors == pytest.approx(rep.phi, abs=1e-12)
     assert rep.u_magnetic + rep.u_electric == pytest.approx(rep.phi, abs=1e-15)
 
 
@@ -267,9 +248,9 @@ def test_moving_dipole_electric_term():
     ]
     model = CoulombField(z_charge=1.0, center=np.array([300.0, 0.0, 0.0]))
     taus = np.linspace(0.0, T0, 64, endpoint=False)
-    xs, us, ys = free_motion(state0, taus)
+    xs, us, centers = free_motion(state0, taus)
     u_e, dominant = [], []
-    for x, u, y in zip(xs, us, ys):
+    for x, u, y in zip(xs, us, centers):
         st8 = PositionState(x=x, u=u, y=y, pi=state0.pi)
         diag = energy_diagnostics(st8, model, Q_ELECTRON)
         u_e.append(diag["u_electric_dominant"] + diag["u_electric_remainder"])
@@ -285,9 +266,9 @@ def test_angular_momentum_conserved_free():
         np.pi / 3, 0.4, velocity=np.array([0.6, 0.0, 0.0])
     )["position"]
     taus = np.linspace(0.0, 10 * T0, 101)
-    xs, us, ys = free_motion(state0, taus)
+    xs, us, centers = free_motion(state0, taus)
     totals = []
-    for x, u, y in zip(xs, us, ys):
+    for x, u, y in zip(xs, us, centers):
         st8 = PositionState(x=x, u=u, y=y, pi=state0.pi)
         totals.append(angular_momentum(st8).total)
     totals = np.array(totals)

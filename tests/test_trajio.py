@@ -71,8 +71,8 @@ def test_spinor_csv_holds_amplitudes(tmp_path):
     path = tmp_path / "traj.csv"
     write_csv(traj, path)
     cols = read_csv(path)
-    assert np.array_equal(cols["phi1_re"], traj.phis[:, 0].real)
-    assert np.array_equal(cols["phi3_im"], traj.phis[:, 2].imag)
+    assert np.array_equal(cols["phi1_re"], traj.states.phi[:, 0].real)
+    assert np.array_equal(cols["phi3_im"], traj.states.phi[:, 2].imag)
 
 
 def test_columns_csv(tmp_path):

@@ -12,8 +12,11 @@ coarse for RK4 (the position and spin-tensor runs diverge).
 ``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>`` line
 naming the call and its ``error:`` line, if any (so the divergence tau
 is compared too), and one ``<sha256>  <path>`` line per artifact, with
-paths relative to OUTDIR.  Run it on two checkouts and ``diff`` the
-two SHA256SUMS files to see which artifact bytes and exit codes changed.
+paths relative to OUTDIR.  ``tools/SHA256SUMS`` is the committed
+reference, made with Python 3.11.7 and numpy 2.4.6 on x86_64 (libm may
+move last bits on other hosts).  ``diff tools/SHA256SUMS OUTDIR/SHA256SUMS``
+then shows which artifact bytes and exit codes changed; a change that
+moves bytes on purpose commits the new file.
 """
 
 from __future__ import annotations
