@@ -135,8 +135,17 @@ def constraint_residuals(state: DynState) -> dict[str, float | np.ndarray]:
     return {"c1": uu, "c2": zz + R0**2, "c3": piu / MASS - C**2, "g": zpi}
 
 
+def _one_sample(state: DynState) -> None:
+    if state.x.ndim != 1:
+        raise ValueError(f"state must be one sample, got a stack of shape {state.x.shape}")
+
+
 def validate_state(state: DynState, tol: float = 1e-10) -> None:
-    """Raise ConstraintViolationError for residuals beyond ``tol`` or tdot = u^0 <= 0."""
+    """Raise ConstraintViolationError for residuals beyond ``tol`` or tdot = u^0 <= 0.
+
+    ``state`` is one sample; a stack raises ValueError.
+    """
+    _one_sample(state)
     res = constraint_residuals(state)
     failures = [(k, v) for k, v in res.items() if abs(v) > tol]
     if state.u[0] <= 0.0:
@@ -220,7 +229,8 @@ def integrate(
 ) -> Trajectory:
     """Fixed-step RK4 integration, recording every ``record_every`` steps.
 
-    ``n_steps`` must be a positive multiple of ``record_every`` >= 1.  With
+    ``state`` is one sample, ``q`` is finite, and ``n_steps`` must be a
+    positive multiple of ``record_every`` >= 1.  With
     ``validate=True`` (default) the initial state must pass the constraint
     validator; integration never projects constraints afterwards.
     Non-finite states, or finite states with non-finite constraint
@@ -232,6 +242,9 @@ def integrate(
         raise ValueError("n_steps must be a multiple of record_every")
     if not 0.0 < dt < np.inf:
         raise ValueError("dt must be positive and finite")
+    if not np.isfinite(q):
+        raise ValueError("q must be finite")
+    _one_sample(state)
     if validate:
         validate_state(state)
     formulation = state.formulation

@@ -15,16 +15,33 @@ state was detected.
 
 The array kernels, one RK4 driver (``_array_rk4``) closing over each rhs,
 are compiled with numba at import time when numba is installed.  Without
-it ``INTEGRATORS`` holds the pure-Python drivers: one straight-line RK4
-loop per formulation on Python scalars, which ``_fused_rk4`` generates and
-compiles on its first call, not at import.  The rhs is inlined into each
-stage with every floating-point operation of the array kernels in order,
-so records and divergence indices are bit-identical to theirs (pinned by
-the test suite).  A free or uniform field is read once, before the loop;
-the point charge's field is evaluated at every stage.  On one core of a
-2-core machine (Python 3.11) criterion 1's 100k steps take 0.53-0.61 s
-(position), 0.83-0.88 s (spin tensor) and 1.66-1.80 s (spinor), against
-7-11 s for the array kernels run as plain Python.
+it ``INTEGRATORS`` holds the pure-Python drivers: straight-line RK4 loops
+on Python scalars that ``_fused_rk4`` generates and compiles on first use,
+not at import, one per formulation, zero pattern of the field components
+e1..b3 and set of held momenta.  The rhs is inlined into each stage with
+the array kernels' floating-point operations in order, less those that
+cannot change a result, so records and divergence indices are
+bit-identical to theirs (pinned by the test suite):
+
+* A free or uniform field is read once, before the loop; only the point
+  charge's loop evaluates its e, at every stage.  A Lorentz term whose
+  field component is exactly zero is left out: a +-0 addend changes a sum
+  only when the rest of it is zero, so a force row whose kept terms give
+  exactly zero falls back to its full form.
+* A force row with no term left adds +-0 to its momentum, which changes
+  only a zero momentum; so a nonzero one is held fixed, and what reads
+  only held momenta (the position form's y increments, the spinor's
+  1j * p2) is computed before the loop.  That needs a finite q (else
+  nothing is held); a left-out term or increment is nan otherwise only
+  through a non-finite stage u or dt, which makes x non-finite in the same
+  step in both loops.  A non-finite field value is not zero.
+
+``perfbench``'s warm-up builds 9 loops (3 formulations; free, uniform b,
+point charge) in 17 ms, against 3 loops in 8 ms unspecialized (medians
+of 15 processes).  On one core of a 2-core machine (Python 3.11)
+criterion 1's 100k free-field steps take 0.39-0.44 s (position), 0.64 s
+(spin tensor) and 1.45 s (spinor), against 0.55, 0.80 and 1.65 s with
+every term kept and 7-11 s for the array kernels run as plain Python.
 
 The equations of motion also exist at dataclass level in dynamics.deriv_*;
 the test suite pins agreement between the two implementations.
@@ -221,30 +238,45 @@ integrate_spinor = _array_rk4(rhs_spinor)
 
 # The pure-Python path: each formulation's rhs written once as source over
 # its named state components, in the array rhs' operand order, assigning the
-# derivative of component n to k_n.
+# derivative of component n to k_n; LORENTZ stands for the force rows.
 
-# the Lorentz force on pi, _force inlined; a free or uniform field stays in
-# e1..b3 as read before the loop, the point charge's field is _field_eb's
-# branch for it, evaluated at x
-_LORENTZ = """if coulomb:
-    r1 = x1 - cx1
-    r2 = x2 - cx2
-    r3 = x3 - cx3
-    rsq = r1 * r1 + r2 * r2 + r3 * r3
-    if rsq == 0.0:
-        e1 = e2 = e3 = nan
-    else:
-        den = rsq * sqrt(rsq)
-        scale = charge / den if den else charge * inf
-        e1 = scale * r1
-        e2 = scale * r2
-        e3 = scale * r3
-k_p0 = q * (e1 * u1 + e2 * u2 + e3 * u3)
-k_p1 = q * (u0 * e1 + u2 * b3 - u3 * b2)
-k_p2 = q * (u0 * e2 + u3 * b1 - u1 * b3)
-k_p3 = q * (u0 * e3 + u1 * b2 - u2 * b1)"""
+# _field_eb's point-charge branch, evaluated at x before the force rows
+_COULOMB = """r1 = x1 - cx1
+r2 = x2 - cx2
+r3 = x3 - cx3
+rsq = r1 * r1 + r2 * r2 + r3 * r3
+if rsq == 0.0:
+    e1 = e2 = e3 = nan
+else:
+    den = rsq * sqrt(rsq)
+    scale = charge / den if den else charge * inf
+    e1 = scale * r1
+    e2 = scale * r2
+    e3 = scale * r3"""
 
-_POSITION_RHS = f"""{_LORENTZ}
+# _force's rows, one per momentum, and the field components each row reads
+_FORCE = {"p0": "e1 * u1 + e2 * u2 + e3 * u3", "p1": "u0 * e1 + u2 * b3 - u3 * b2",
+          "p2": "u0 * e2 + u3 * b1 - u1 * b3", "p3": "u0 * e3 + u1 * b2 - u2 * b1"}
+_FACTORS = {p: set(re.findall(r"[eb]\d", row)) for p, row in _FORCE.items()}
+_EB = ("e1", "e2", "e3", "b1", "b2", "b3")
+
+
+def _lorentz(coulomb, zero, held):
+    """The force rows without the terms whose field component is in ``zero``.
+    A row whose kept terms give exactly zero falls back to its full form, so
+    the sign of zero is kept; a held momentum has no row."""
+    rows = [_COULOMB] if coulomb else []
+    for p, full in _FORCE.items():
+        terms = re.findall(r"[+-]? ?\w+ \* \w+", full)
+        kept = " ".join(t for t in terms if re.search(r"[eb]\d", t)[0] not in zero)
+        if kept and kept != full:
+            rows.append(f"k_{p} = q * ({kept.removeprefix('+ ')} or {full})")
+        elif p not in held:
+            rows.append(f"k_{p} = q * ({full})")
+    return "\n".join(rows)
+
+
+_POSITION_RHS = f"""LORENTZ
 k_x0 = u0
 k_x1 = u1
 k_x2 = u2
@@ -259,7 +291,7 @@ k_y2 = p2
 k_y3 = p3
 """
 
-_SPINTENSOR_RHS = f"""{_LORENTZ}
+_SPINTENSOR_RHS = """LORENTZ
 k_x0 = u0
 k_x1 = u1
 k_x2 = u2
@@ -280,7 +312,7 @@ k_s3 = u1 * p2 - u2 * p1
 # (a.re*b.re - a.im*b.im, a.re*b.im + a.im*b.re), so conj(phi_m) * phi_n is
 # (re_m*re_n + im_m*im_n, re_m*im_n - im_m*re_n): the conjugate's sign folds
 # in exactly, also for signed zeros.
-_SPINOR_RHS = f"""
+_SPINOR_RHS = """
 re1 = ph1.real
 im1 = ph1.imag
 re2 = ph2.real
@@ -298,7 +330,7 @@ k_x0 = u0 = (
 k_x1 = u1 = 2.0 * ((re1 * re4 + im1 * im4) + (re2 * re3 + im2 * im3))
 k_x2 = u2 = 2.0 * (re1 * im4 - im1 * re4) - 2.0 * (re2 * im3 - im2 * re3)
 k_x3 = u3 = 2.0 * ((re1 * re3 + im1 * im3) - (re2 * re4 + im2 * im4))
-{_LORENTZ}
+LORENTZ
 ip2 = 1j * p2
 k_ph1 = -1j * (p0 * ph1 - p1 * ph4 + ip2 * ph4 - p3 * ph3)
 k_ph2 = -1j * (p0 * ph2 - p1 * ph3 - ip2 * ph3 + p3 * ph4)
@@ -327,46 +359,60 @@ def _all_finite(s):
 
 
 @functools.cache
-def _fused_rk4(formulation):
-    """Compile the pure-Python RK4 driver of ``formulation``, with the array
-    kernels' signature and return value: one loop with the state, the stage
-    states t_<n> and k1..k4 as locals, and the rhs inlined per stage.
+def _fused_rk4(formulation, coulomb, zero, held):
+    """Compile the pure-Python RK4 driver of ``formulation`` for one field
+    kind, with the array kernels' signature and return value: one loop with
+    the state, the stage states t_<n> and k1..k4 as locals, and the rhs
+    inlined per stage without the Lorentz terms of the field components in
+    ``zero``.  The momenta in ``held`` stay fixed; rhs lines that read only
+    them run once before the loop, and a derivative k_n they fix becomes
+    the increments <step>_k_n.
 
-    The rhs must not assign to a component's name.  The complex components
-    that ``_LOOPS`` lists last have real derivatives, so the loop carries
-    their real parts as floats; a complex-plus-float add would leave
-    imag + 0.0, which the records restore."""
+    The rhs must not assign to a component's name, nor hold a brace.  The
+    complex components that ``_LOOPS`` lists last have real derivatives, so
+    the loop carries their real parts as floats; a complex-plus-float add
+    would leave imag + 0.0, which the records restore."""
     names, rhs_template, real = _LOOPS[formulation]
-    names, real, words = names.split(), real.split(), set(re.findall(r"\w+", rhs_template))
-    used = [n for n in names if n in words]
-    as_stage = re.compile(rf"\b({'|'.join(used)})\b")
+    names, real, body, hoisted = names.split(), real.split(), [], []
+    rhs = rhs_template.replace("LORENTZ", _lorentz(coulomb, zero, held))
+    for line in filter(None, rhs.split("\n")):
+        reads = set(re.findall(r"\b[a-z_]\w*", line.partition(" = ")[2]))
+        (hoisted if reads and reads <= set(held) else body).append(line)
+    body = "\n".join(body)
+    words = set(re.findall(r"\w+", body))
+    used = [n for n in names if n in words and n not in held]
+    const = [line[2:line.index(" ")] for line in hoisted if line.startswith("k_")]
+    # stage j reads k<j>_n, and from stage 2 on t_n for each component n
+    stage = re.sub(rf"\b(?=({'|'.join(used)})\b)", "{t}", re.sub(r"\bk_", "k{j}_", body))
     lines = []
     for j, step in enumerate(("half", "half", "dt", None), 1):
-        body = re.sub(r"\bk_", f"k{j}_", rhs_template.strip())
-        lines.append(as_stage.sub(r"t_\1", body) if j > 1 else body)
+        lines.append(stage.format(j=j, t="t_" if j > 1 else ""))
         if step:  # the state the next stage evaluates
-            lines += [f"t_{n} = {n} + {step} * k{j}_{n}" for n in used]
+            lines += [f"t_{n} = {n} + {step}_k_{n}" if n in const else
+                      f"t_{n} = {n} + {step} * k{j}_{n}" for n in used]
+    lines += [f"{n} = {n} + sixth_k_{n}" if n in const else
+              f"{n} = {n} + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"
+              for n in names if n not in held]
+    hoisted += [f"{step}_k_{n} = {step} * k_{n}" for n in const for step in ("half", "dt")]
+    hoisted += [f"sixth_k_{n} = sixth * (k_{n} + 2.0 * k_{n} + 2.0 * k_{n} + k_{n})"
+                for n in const]
+    loop = "\n".join(lines).replace("\n", "\n        ")
+    pre = "".join(f"{line}\n    " for line in hoisted)
     state = ", ".join(names)
     unpack = "".join(f"{n}_im = {n}.imag + 0.0\n    {n} = {n}.real\n    " for n in real)
     record = ", ".join(f"complex({n}, {n}_im)" if n in real else n for n in names)
-    lines += [f"{n} = {n} + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"
-              for n in names]
-    loop = "\n".join(lines).replace("\n", "\n        ")
+    charge = ("charge, cx1, cx2, cx3 = fp[:4]\n    sqrt, nan, inf = math.sqrt, math.nan, "
+              "math.inf\n    ") if coulomb else ""
     src = f"""def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
     s = state.tolist()
     fp = fp.tolist()
-    field_eb = getattr(_field_eb, "py_func", _field_eb)
     out[0] = s
     {state} = s
-    {unpack}e1, e2, e3, b1, b2, b3 = field_eb(fcode, fp, x1, x2, x3)
-    coulomb = fcode == FIELD_COULOMB
-    if coulomb:
-        charge, cx1, cx2, cx3 = fp[:4]
-    sqrt, nan, inf = math.sqrt, math.nan, math.inf
-    rec = 1
+    {unpack}e1, e2, e3, b1, b2, b3 = _FIELD_EB(fcode, fp, x1, x2, x3)
+    {charge}rec = 1
     half = 0.5 * dt
     sixth = dt / 6.0
-    for step in range(1, n_steps + 1):
+    {pre}for step in range(1, n_steps + 1):
         {loop}
         if step % record_every == 0:
             s = [{record}]
@@ -376,16 +422,30 @@ def _fused_rk4(formulation):
             rec += 1
     return -1
 """
-    filename = f"<zsim.kernels:{formulation}>"
+    field = "coulomb" if coulomb else "zero=" + ",".join(zero)
+    filename = f"<zsim.kernels:{formulation} {field} held={','.join(held)}>"
     linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
     scope = {}
     exec(compile(src, filename, "exec"), globals(), scope)
     return scope["integrate"]
 
 
+_FIELD_EB = getattr(_field_eb, "py_func", _field_eb)
+
+
 def _float_integrator(formulation):
+    names = _LOOPS[formulation][0].split()
+
     def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
-        return _fused_rk4(formulation)(state, fcode, fp, q, dt, n_steps, record_every, out)
+        # the point charge's e varies along the path; its b is zero
+        coulomb = fcode == FIELD_COULOMB
+        eb = (1.0,) * 3 + (0.0,) * 3 if coulomb else _FIELD_EB(fcode, fp, 0.0, 0.0, 0.0)
+        zero = tuple(n for n, v in zip(_EB, eb) if v == 0.0)
+        start = dict(zip(names, state.tolist()))
+        held = tuple(p for p in _FORCE if _FACTORS[p] <= set(zero) and start[p].real != 0.0
+                     and math.isfinite(q))
+        return _fused_rk4(formulation, coulomb, zero, held)(
+            state, fcode, fp, q, dt, n_steps, record_every, out)
 
     return integrate
 

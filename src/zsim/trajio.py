@@ -52,11 +52,11 @@ def row_table(traj: Trajectory) -> np.ndarray:
 
 
 def _write_table(path, names: list[str], table: np.ndarray) -> None:
+    # a float's repr holds no character that csv would quote
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for row in table:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        fh.writelines(",".join(map(repr, row)) + "\n"
+                      for row in np.asarray(table, dtype=np.float64).tolist())
 
 
 def write_csv(traj: Trajectory, path) -> None:

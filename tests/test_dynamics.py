@@ -226,10 +226,25 @@ def test_integrate_rejects_bad_arguments():
         integrate(pos, FreeField(), T0 / 100, 100, record_every=0)
     with pytest.raises(ValueError, match="at least 1"):
         integrate(pos, FreeField(), T0 / 100, 0)
+    for q in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="q must be finite"):
+            integrate(pos, FreeField(), T0 / 100, 100, q=q)
     bad_u = pos.u.copy()
     bad_u[0] *= 1.01
     with pytest.raises(ConstraintViolationError):
         integrate(PositionState(pos.x, bad_u, pos.y, pos.pi), FreeField(), 1e-3, 10)
+
+
+def test_stacked_state_is_rejected():
+    """A trajectory's stacked states are not an initial state."""
+    traj = integrate(matched_initial_states(0.3)["spinor"], FreeField(), 0.01, 10)
+    calls = (lambda: validate_state(traj.states),
+             lambda: integrate(traj.states, FreeField(), 0.01, 10),
+             lambda: integrate(traj.states, FreeField(), 0.01, 10, validate=False))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^state must be one sample, got a stack of "
+                                             r"shape \(11, 4\)$"):
+            call()
 
 
 def test_integrate_divergence_detected():

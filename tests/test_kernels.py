@@ -33,6 +33,9 @@ FIELDS = {
     "free": (kernels.FIELD_FREE, np.zeros(1)),
     "uniform": (kernels.FIELD_UNIFORM, np.array([1e-4, -2e-4, 3e-4, 4e-4, -5e-4, 2e-3])),
     "coulomb": (kernels.FIELD_COULOMB, np.array([1.0, 0.0, 30.0, 0.0])),
+    # zero field components, whose Lorentz terms the float driver leaves out
+    "uniform-bz": (kernels.FIELD_UNIFORM, np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2e-3])),
+    "uniform-ex": (kernels.FIELD_UNIFORM, np.array([3e-4, 0.0, 0.0, 0.0, 0.0, 0.0])),
 }
 # spatial u and pi, and d and s, in each packed layout
 SPATIAL = {"position": np.r_[5:8, 13:16], "spintensor": np.r_[5:8, 9:18],
@@ -52,6 +55,9 @@ def signed_zeros(states):
 
 STATES = {
     "boosted": lambda: matched_initial_states(np.pi / 3, 0.4, velocity=np.array([0.6, 0.0, 0.0])),
+    # all four momenta nonzero, so that in free space the float driver holds them all
+    "boosted-oblique": lambda: matched_initial_states(
+        np.pi / 3, 0.4, velocity=np.array([0.3, -0.2, 0.1])),
     "rest-theta0": lambda: matched_initial_states(0.0, 0.0),
     "rest-signed-zeros": lambda: signed_zeros(matched_initial_states(0.0, 0.0)),
 }
@@ -109,6 +115,16 @@ def test_divergence_index_matches_when_coulomb_denominator_underflows(name):
         assert run_both(name, state, fcode, fparams, T0 / 1000, 10, 1) == 1
 
 
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", FORMULATIONS)
+def test_divergence_index_matches_for_non_finite_charge(name, field):
+    # q * 0 is nan, so a momentum with no field term is not held fixed either
+    fcode, fparams = FIELDS[field]
+    for q in (np.nan, np.inf):
+        state = packed(STATES["boosted-oblique"](), name)
+        assert run_both(name, state, fcode, fparams, T0 / 1000, 10, 1, q) == 1
+
+
 def test_divergence_index_matches_when_complex_modulus_overflows():
     # finite parts whose modulus overflows: numpy's abs gives inf, Python's
     # abs raises OverflowError
@@ -120,7 +136,8 @@ def test_divergence_index_matches_when_complex_modulus_overflows():
 
 def test_loops_are_built_on_first_use():
     """``import zsim.cli`` compiles no pure-Python loop; one integration
-    compiles its formulation's loop alone (none where numba runs)."""
+    compiles the one loop of its formulation, field and held momenta (none
+    where numba runs): at rest in free space only pi^0 is nonzero."""
     src = str(Path(zsim.__file__).resolve().parents[1])
     built = "print(sorted(f for f in linecache.cache if f.startswith('<zsim.kernels:')))"
     code = (f"import linecache, zsim.cli; {built}; "
@@ -132,4 +149,5 @@ def test_loops_are_built_on_first_use():
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     after_import, after_integrate, jitted = proc.stdout.splitlines()
     assert after_import == "[]"
-    assert after_integrate == ("[]" if jitted == "True" else "['<zsim.kernels:spintensor>']")
+    loop = "<zsim.kernels:spintensor zero=e1,e2,e3,b1,b2,b3 held=p0>"
+    assert after_integrate == ("[]" if jitted == "True" else repr([loop]))

@@ -82,6 +82,13 @@ def test_columns_csv(tmp_path):
     assert np.array_equal(cols["x1"], [1.0, 2.0])
 
 
+def test_csv_bytes_of_special_floats(tmp_path):
+    path = tmp_path / "cols.csv"
+    write_columns_csv(path, {"tau": np.array([-0.0, 5e-324, 1e16]),
+                             "x1": np.array([np.nan, -np.inf, 0.1])})
+    assert path.read_bytes() == b"tau,x1\n-0.0,nan\n5e-324,-inf\n1e+16,0.1\n"
+
+
 def test_json_report_format(tmp_path):
     path = tmp_path / "report.json"
     write_json_report(path, {"b": 2, "a": {"y": 1.5, "x": [1, 2]}})

@@ -7,8 +7,9 @@ Usage (from a checkout, with its ``src`` on the path):
 Each call runs through ``zsim.cli.main`` in its own directory under
 OUTDIR.  The INI scenarios below, written to OUTDIR first, cover what no
 preset uses: raw initial vectors, signed-zero momenta of a positive
-charge, a zitter phase, an origin and an electric field, and a step too
-coarse for RK4 (the position and spin-tensor runs diverge).
+charge (also in a field with zero components), a zitter phase, an origin
+and an electric field, and a step too coarse for RK4 (the position and
+spin-tensor runs diverge).
 ``OUTDIR/SHA256SUMS`` then holds, per call, one ``exit <code>`` line
 naming the call and its ``error:`` line, if any (so the divergence tau
 is compared too), and one ``<sha256>  <path>`` line per artifact, with
@@ -55,6 +56,25 @@ periods = 2
     "raw-positron.ini": """[scenario]
 name = raw-positron
 formulation = all
+[initial]
+mode = raw
+x = 0 0 -0.5 0
+u = 1 1 0 0
+y = 0 0 0 0
+pi = 1 -0 -0 -0
+[run]
+periods = 2
+charge = 1
+""",
+    # raw-positron in a uniform b along x3: no field term reaches pi^0 or the
+    # signed-zero pi^3, and pi^1's one b3 term is exactly zero at the start (u2 = 0);
+    # the position run's constraints drift in a field, so it exits 1
+    "raw-positron-bz.ini": """[scenario]
+name = raw-positron-bz
+formulation = all
+[field]
+variant = uniform
+b0 = 0 0 1e-3
 [initial]
 mode = raw
 x = 0 0 -0.5 0
@@ -130,6 +150,7 @@ def calls() -> list[list[str]]:
     for f in ("position", "spintensor", "spinor"):
         out.append(["run", "--scenario", "diverging.ini", "--formulation", f])
     out.append(["run", "--scenario", "raw-positron.ini"])
+    out.append(["run", "--scenario", "raw-positron-bz.ini"])
     # verify writes no artifact: its exit code gates the identity batteries
     # and a field scenario's drift and equivalence tolerances
     out.append(["verify", "--suite", "identities"])
