@@ -249,7 +249,7 @@ def integrate(
         validate_state(state)
     formulation = state.formulation
     fcode, fparams = _field_code(model)
-    packed = pack_state(state).astype(kernels.STATE_DTYPE[formulation])
+    packed = pack_state(state)
     n_rec = n_steps // record_every + 1
     out = np.empty((n_rec, packed.shape[0]), dtype=packed.dtype)
     status = kernels.INTEGRATORS[formulation](
@@ -357,7 +357,6 @@ def oracle_errors(traj: Trajectory, state0: PositionState) -> dict[str, float]:
 class ComparisonReport:
     """Pairwise max divergence between formulations sharing a tau grid."""
 
-    taus: np.ndarray
     per_pair: dict[str, dict[str, float]]
     overall: float
 
@@ -383,8 +382,7 @@ def compare_trajectories(trajs: dict[str, Trajectory]) -> ComparisonReport:
             }
             per_pair[f"{a}|{b}"] = entry
             overall = max(overall, max(entry.values()))
-    taus = trajs[names[0]].taus
-    return ComparisonReport(taus, per_pair, overall)
+    return ComparisonReport(per_pair, overall)
 
 
 def fourth_order_residual(

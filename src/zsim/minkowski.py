@@ -22,13 +22,6 @@ METRIC = np.diag([1.0, -1.0, -1.0, -1.0])
 _METRIC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 
-def fvec(c0: float, c1: float, c2: float, c3: float) -> Vec4:
-    """Build a four-vector, rejecting non-finite components."""
-    a = np.array([c0, c1, c2, c3], dtype=np.float64)
-    assert_finite(a, "four-vector")
-    return a
-
-
 def assert_finite(a: np.ndarray, name: str = "array") -> None:
     """Raise ValueError if any component is NaN or infinite."""
     if not np.all(np.isfinite(a)):

@@ -14,8 +14,6 @@ formulas via the constants module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -61,33 +59,13 @@ def hamiltonian(pi: Vec4) -> np.ndarray:
     return h
 
 
-@dataclass(frozen=True)
-class StateFunction:
-    """Amplitude four-spinor together with the proper time it belongs to."""
-
-    phi: Amplitudes
-    tau: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "phi", np.asarray(self.phi, dtype=np.complex128).reshape(4)
-        )
-
-
 def _amps(state) -> Amplitudes:
-    phi = getattr(state, "phi", state)
-    return np.asarray(phi, dtype=np.complex128)
+    return np.asarray(state, dtype=np.complex128)
 
 
 def adjoint_row(state) -> Amplitudes:
     """Adjoint row phibar = phi^* gamma^0."""
     return _amps(state).conj() @ GAMMA0
-
-
-def tdot_of(state) -> float:
-    """Laboratory-time rate tdot = phi^* phi (positive for valid states)."""
-    phi = _amps(state)
-    return float(np.real(phi.conj() @ phi))
 
 
 def bilinear(state, op: np.ndarray) -> complex:
@@ -159,12 +137,6 @@ def _require_on_shell(pi: Vec4) -> None:
         raise ValueError(f"momentum is off shell: pi.pi = {p2}")
 
 
-def _require_normalized(amps: Amplitudes, pi: Vec4) -> None:
-    norm = normalization(amps, pi)
-    if abs(norm - REST_ENERGY) > 1e-8:
-        raise ValueError(f"amplitudes are not energy normalized: {norm}")
-
-
 def evolve_amplitudes(amps, pi: Vec4, taus) -> Amplitudes:
     """Closed-form evolution phi(tau) for one or many proper times.
 
@@ -182,14 +154,6 @@ def evolve_amplitudes(amps, pi: Vec4, taus) -> Amplitudes:
         - (1j / REST_ENERGY) * np.sin(phase)[:, None] * ha[None, :]
     )
     return out[0] if np.ndim(taus) == 0 else out
-
-
-def closed_form_state(amps, pi: Vec4, tau: float) -> StateFunction:
-    """Evolved state at proper time tau for validated on-shell inputs."""
-    a = _amps(amps)
-    _require_on_shell(pi)
-    _require_normalized(a, pi)
-    return StateFunction(evolve_amplitudes(a, pi, float(tau)), float(tau))
 
 
 def energy_projectors(pi: Vec4) -> tuple[np.ndarray, np.ndarray]:

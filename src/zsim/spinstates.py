@@ -25,12 +25,7 @@ import numpy as np
 
 from .constants import C, HBAR, MASS, OMEGA0, OMEGA1
 from .minkowski import antisymmetric_parts
-from .spinor import (
-    PAULI,
-    StateFunction,
-    spin_tensor_observable,
-    tdot_of,
-)
+from .spinor import PAULI, spin_tensor_observable, velocity_observable
 
 PI_REST = np.array([MASS * C, 0.0, 0.0, 0.0])
 
@@ -93,9 +88,9 @@ def spin_amplitudes(theta: float, phi: float = 0.0) -> np.ndarray:
 
 
 def polarization_vector(amps: np.ndarray) -> np.ndarray:
-    """Unit polarization 2 s / (hbar tdot) of an amplitude vector."""
+    """Unit polarization 2 s / (hbar tdot) of an amplitude vector, tdot = u^0 / c."""
     _, s = antisymmetric_parts(spin_tensor_observable(amps))
-    return (2.0 / HBAR) * s / tdot_of(amps)
+    return (2.0 / HBAR) * s / (velocity_observable(amps)[0] / C)
 
 
 def superposition_amplitude_identity(theta: float, phi: float = 0.0) -> float:
@@ -260,7 +255,6 @@ class ReconstructionReport:
     """
 
     taus: np.ndarray
-    u_input: np.ndarray
     u_mixture: np.ndarray
     max_transverse_error: float
     axial_gap: np.ndarray
@@ -287,7 +281,6 @@ def reconstruct_mean_velocity(
     max_t = float(np.abs(u_in[:, 1:3] - u_mix[:, 1:3]).max())
     return ReconstructionReport(
         taus=taus,
-        u_input=u_in,
         u_mixture=u_mix,
         max_transverse_error=max_t,
         axial_gap=u_in[:, 3] - u_mix[:, 3],
@@ -298,27 +291,15 @@ def reconstruct_mean_velocity(
 # Two-component reduction.
 
 
-def energy_split_terms(theta: float, phi: float = 0.0) -> dict[str, np.ndarray]:
-    """Four-term split over spin (up/down) x energy sign, rest frame."""
-    amps = spin_amplitudes(theta, phi)
-    basis = {
-        "up_plus": np.array([1, 0, 0, 0], dtype=np.complex128),
-        "down_plus": np.array([0, 1, 0, 0], dtype=np.complex128),
-        "down_minus": np.array([0, 0, 1, 0], dtype=np.complex128),
-        "up_minus": np.array([0, 0, 0, 1], dtype=np.complex128),
-    }
-    return {name: amps[idx] * vec for idx, (name, vec) in enumerate(basis.items())}
-
-
-def pauli_spinor(state: StateFunction) -> np.ndarray:
-    """Two-component reduction of a rest-frame state.
+def pauli_spinor(phi: np.ndarray, tau: float) -> np.ndarray:
+    """Two-component reduction of rest-frame amplitudes phi at proper time tau.
 
     Rescales by the positive-frequency phase and keeps the upper pair;
     for rest spin states this recovers the time-independent Pauli spinor
     of the axis, up to the fixed normalization 1/sqrt(2).
     """
-    factor = np.exp(1j * OMEGA1 * state.tau) * math.sqrt(2.0)
-    return factor * state.phi[:2]
+    factor = np.exp(1j * OMEGA1 * tau) * math.sqrt(2.0)
+    return factor * phi[:2]
 
 
 def fix_global_phase(v: np.ndarray) -> np.ndarray:

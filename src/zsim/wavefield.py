@@ -1,7 +1,7 @@
 """Space-time wave function of the free electron and ensemble density checks.
 
 The state function phi(tau) extends to a field by synchronizing proper
-time over space-time events: tau(x) = tau0 + (pi.x)/(m c^2), so
+time over space-time events: tau(x) = (pi.x)/(m c^2), so
 
     psi(x) = phi(tau(x)),    d_mu tau = pi_mu / (m c^2).
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,11 +47,10 @@ from .states import PositionState
 
 @dataclass(frozen=True)
 class WaveFunction:
-    """Free-electron wave: amplitudes at tau0 plus a constant momentum."""
+    """Free-electron wave: amplitudes at tau = 0 plus a constant momentum."""
 
     amps: np.ndarray
     pi: Vec4
-    tau0: float = 0.0
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=np.complex128)
@@ -62,20 +62,26 @@ class WaveFunction:
 
 
 def proper_time_of(wave: WaveFunction, x) -> np.ndarray | float:
-    """Synchronized proper time tau(x) = tau0 + (pi.x)/(m c^2)."""
-    tau = wave.tau0 + mdot(wave.pi, np.asarray(x, dtype=np.float64)) / (MASS * C**2)
-    return tau
+    """Synchronized proper time tau(x) = (pi.x)/(m c^2)."""
+    return mdot(wave.pi, np.asarray(x, dtype=np.float64)) / (MASS * C**2)
 
 
 def wave_function_at(wave: WaveFunction, x) -> np.ndarray:
     """psi(x) = phi(tau(x)); accepts one event (4,) or a stack (N, 4)."""
-    taus = proper_time_of(wave, x)
-    return evolve_amplitudes(wave.amps, wave.pi, taus - wave.tau0)
+    return evolve_amplitudes(wave.amps, wave.pi, proper_time_of(wave, x))
 
 
 def _as_events(xs) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     return xs[None, :] if xs.ndim == 1 else xs
+
+
+def _shifted(f, xs, h: float):
+    """Yield (mu, f(xs + h e_mu), f(xs - h e_mu)) for each axis mu."""
+    for mu in range(4):
+        step = np.zeros(4)
+        step[mu] = h
+        yield mu, f(xs + step), f(xs - step)
 
 
 def gradient_analytic(wave: WaveFunction, xs) -> np.ndarray:
@@ -94,12 +100,8 @@ def gradient_fd(wave: WaveFunction, xs, h: float = 1e-3) -> np.ndarray:
     """Central-difference i hbar d_mu psi, same shape as the analytic form."""
     xs = _as_events(xs)
     out = np.empty((xs.shape[0], 4, 4), dtype=np.complex128)
-    for mu in range(4):
-        step = np.zeros(4)
-        step[mu] = h
-        out[:, mu, :] = (
-            wave_function_at(wave, xs + step) - wave_function_at(wave, xs - step)
-        ) * (1j * HBAR / (2.0 * h))
+    for mu, fwd, back in _shifted(partial(wave_function_at, wave), xs, h):
+        out[:, mu, :] = (fwd - back) * (1j * HBAR / (2.0 * h))
     return out
 
 
@@ -129,14 +131,8 @@ def klein_gordon_residual(wave: WaveFunction, xs, h: float | None = None) -> flo
         box = -(mdot(wave.pi, wave.pi) / HBAR**2) * psi
     else:
         box = np.zeros_like(psi)
-        for mu in range(4):
-            step = np.zeros(4)
-            step[mu] = h
-            second = (
-                wave_function_at(wave, xs + step)
-                - 2.0 * psi
-                + wave_function_at(wave, xs - step)
-            ) / h**2
+        for mu, fwd, back in _shifted(partial(wave_function_at, wave), xs, h):
+            second = (fwd - 2.0 * psi + back) / h**2
             box += second if mu == 0 else -second
     return float(np.abs(box + (MASS * C / HBAR) ** 2 * psi).max())
 
@@ -169,14 +165,9 @@ def continuity_divergence(wave: WaveFunction, xs, h: float = 1e-3) -> float:
     """Max |d_mu j^mu| by central differences (zero up to O(h^2))."""
     xs = _as_events(xs)
     div = np.zeros(xs.shape[0])
-    for mu in range(4):
-        step = np.zeros(4)
-        step[mu] = h
-        diff = (
-            current_density(wave, xs + step)[:, mu]
-            - current_density(wave, xs - step)[:, mu]
-        ) / (2.0 * h)
-        div += diff  # d_mu j^mu contracts upper index with plain d/dx^mu
+    for mu, fwd, back in _shifted(partial(current_density, wave), xs, h):
+        # d_mu j^mu contracts upper index with plain d/dx^mu
+        div += (fwd[:, mu] - back[:, mu]) / (2.0 * h)
     return float(np.abs(div).max())
 
 
@@ -193,7 +184,7 @@ def energy_split_fields(wave: WaveFunction, xs) -> tuple[np.ndarray, np.ndarray]
     i hbar d_mu with eigenvalues +-pi_mu and they sum to psi.
     """
     xs = _as_events(xs)
-    taus = np.atleast_1d(proper_time_of(wave, xs)) - wave.tau0
+    taus = np.atleast_1d(proper_time_of(wave, xs))
     plus, minus = energy_split(wave.amps, wave.pi)
     theta = OMEGA1 * taus[:, None]
     return np.exp(-1j * theta) * plus[None, :], np.exp(+1j * theta) * minus[None, :]

@@ -2,7 +2,9 @@
 
 import ast
 import contextlib
+import importlib.util
 import io
+import itertools
 import json
 import os
 import re
@@ -13,13 +15,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import zsim
 from zsim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
-from zsim.constants import C, MASS, OMEGA1
+from zsim.constants import C, MASS, OMEGA0, OMEGA1
+from zsim.dynamics import matched_initial_states
 from zsim.scenario import load_scenario
 from zsim.trajio import read_csv
+from zsim.wavefield import WaveFunction, proper_time_of
 
 
 def test_run_writes_trajectory_and_summary(tmp_path):
@@ -110,6 +114,61 @@ def test_wave_phase_bound_reads_the_chosen_axes(tmp_path):
         assert main(argv) == rc, argv
 
 
+@given(
+    verb=st.sampled_from(["ensemble", "wave"]),
+    velocity=st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3),
+    size=st.floats(-3.0, 300.0).map(lambda e: 10.0**e),
+    near_edge=st.none() | st.floats(-2.0, 2.0),
+    periods=st.floats(-3.0, 15.0).map(lambda e: 10.0**e),
+    axes=st.sampled_from([f"x{a} x{b}" for a, b in itertools.combinations(range(4), 2)]),
+)
+@settings(max_examples=100, deadline=None)
+def test_ensemble_and_wave_evaluate_no_phase_past_2_51(verb, velocity, size, near_edge, periods,
+                                                       axes):
+    """ensemble and wave exit 2, or exit 0 having evaluated no zitter phase past 2**51.
+
+    The phase is taken at the events: w1 tau(x) at the wave grid's corners
+    (--points 2 makes them the whole grid), and w0 (tau(x) + s) at the
+    corners of the ensemble box [0, box]^3 for s = 0 and s = the span.  The
+    box or extent is log-uniform up to 1e300, or, with ``near_edge``, within
+    a factor 4 of where the corners alone reach the phase 2**51.
+    """
+    v = " ".join(map(repr, velocity))
+    with tempfile.TemporaryDirectory() as tmp:
+        if verb == "wave":
+            ini = Path(tmp) / "moving.ini"
+            ini.write_text(f"[initial]\nvelocity = {v}\n")
+            state = load_scenario(str(ini)).initial_state("spinor")
+            corners = np.zeros((4, 4))
+            cols = [int(a[1]) for a in axes.split()]
+            corners[:, cols] = list(itertools.product((-0.5, 0.5), repeat=2))
+            omega, shifts = OMEGA1, [0.0]
+        else:
+            state = matched_initial_states(0.0, velocity=np.array(velocity))["spinor"]
+            corners = np.zeros((8, 4))
+            corners[:, 1:] = list(itertools.product((0.0, 1.0), repeat=3))
+            omega, shifts = OMEGA0, [0.0, periods * 2.0 * np.pi / OMEGA0]
+        wave = WaveFunction(state.phi, state.pi)
+        per_size = omega * float(np.abs(proper_time_of(wave, corners)).max())
+        if near_edge is not None and per_size > 0.0:
+            size = 2.0 ** (51.0 + near_edge) / per_size
+        taus = proper_time_of(wave, size * corners)
+        phase = omega * max(float(np.abs(taus + s).max()) for s in shifts)
+        assume(abs(phase / 2.0**51 - 1.0) > 1e-9)
+        if verb == "wave":
+            argv = ["wave", "--scenario", str(ini), "--axes", axes, "--points", "2",
+                    "--extent", repr(size)]
+        else:
+            argv = ["ensemble", "--velocity", v, "--box", repr(size),
+                    "--periods", repr(periods), "--n", "1", "--bins", "1"]
+        rc, stderr = _main_outcome([*argv, "--out", tmp])
+    assert rc in (EXIT_OK, EXIT_USAGE), stderr
+    if rc == EXIT_USAGE:
+        assert len(_error_lines(stderr)) == 1, stderr
+    else:
+        assert phase <= 2.0**51, f"{argv} evaluated a phase of {phase:.4g}"
+
+
 def test_wave_rejects_bad_axes(tmp_path):
     rc = main(["wave", "--scenario", "free-rest", "--axes", "x0 x0",
                "--out", str(tmp_path)])
@@ -183,6 +242,19 @@ def test_compare_pool_has_at_most_one_worker_per_formulation(tmp_path, monkeypat
     rc = main(["compare", "--scenario", "free-rest", "--jobs", "1000", "--out", str(tmp_path)])
     assert rc == EXIT_OK
     assert sizes == [3]
+
+
+def test_golden_hash_file_names_the_tool_calls():
+    """tools/SHA256SUMS holds one exit line per call of tools/artifact_hashes.py,
+    in order, so a call added, dropped or edited without regenerating it fails here."""
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    spec = importlib.util.spec_from_file_location("artifact_hashes", tools / "artifact_hashes.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    lines = (tools / "SHA256SUMS").read_text().splitlines()
+    # "exit <code>  <argv>", then "  error: ..." when the call printed one
+    named = [line.split("  ")[1] for line in lines if line.startswith("exit ")]
+    assert named == [" ".join(argv) for argv in tool.calls()]
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

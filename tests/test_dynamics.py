@@ -44,6 +44,7 @@ def test_pack_unpack_round_trip():
     for name, state in states.items():
         packed = pack_state(state)
         assert packed.shape[0] == {"position": 16, "spintensor": 18, "spinor": 12}[name]
+        assert packed.dtype == kernels.STATE_DTYPE[name]  # integrate passes it on as is
         back = unpack_state(name, packed)
         assert np.allclose(pack_state(back), packed, atol=0.0)
     # the layout pair on a stack: (N, 6) parts -> (N, 4, 4) tensors -> parts

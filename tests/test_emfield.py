@@ -14,7 +14,7 @@ from zsim.emfield import (
     lorentz_force,
     lorentz_force_tensor,
 )
-from zsim.minkowski import antisymmetric_tensor, fvec, mdot
+from zsim.minkowski import antisymmetric_tensor, mdot
 
 component = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False)
 
@@ -24,16 +24,14 @@ def vec3s():
 
 
 def vec4s():
-    return st.tuples(component, component, component, component).map(
-        lambda t: fvec(*t)
-    )
+    return st.tuples(component, component, component, component).map(np.array)
 
 
 def test_lorentz_force_example():
     """Electron moving along x through B = z_hat feels f = (0, 0, 1, 0)."""
     e = np.zeros(3)
     b = np.array([0.0, 0.0, 1.0])
-    u = fvec(1.0, 1.0, 0.0, 0.0)
+    u = np.array([1.0, 1.0, 0.0, 0.0])
     f = lorentz_force(-1.0, e, b, u)
     assert np.allclose(f, [0.0, 0.0, 1.0, 0.0]), f"unexpected force {f}"
     # stacked fields and velocities give the per-sample forces
@@ -47,7 +45,7 @@ def test_lorentz_force_example():
 
 def test_force_time_component_is_power():
     e = np.array([2.0, 0.0, 0.0])
-    u = fvec(1.5, 0.5, 0.25, 0.0)
+    u = np.array([1.5, 0.5, 0.25, 0.0])
     f = lorentz_force(-1.0, e, np.zeros(3), u)
     assert f[0] == pytest.approx(-1.0 * np.dot(e, u[1:]))
 
@@ -81,14 +79,14 @@ def test_field_tensor_antisymmetry():
 
 def test_free_field_is_zero():
     model = FreeField()
-    e, b = model.eb_at(fvec(0.0, 1.0, 2.0, 3.0))
+    e, b = model.eb_at(np.array([0.0, 1.0, 2.0, 3.0]))
     assert not e.any() and not b.any()
-    assert not model.potential_at(fvec(0.0, 1.0, 2.0, 3.0)).any()
+    assert not model.potential_at(np.array([0.0, 1.0, 2.0, 3.0])).any()
 
 
 def test_uniform_field_constant_everywhere():
     model = UniformEB(e0=np.array([0.1, 0.0, 0.0]), b0=np.array([0.0, 0.0, 2.0]))
-    for x in (fvec(0.0, 0.0, 0.0, 0.0), fvec(5.0, -3.0, 2.0, 1.0)):
+    for x in (np.array([0.0, 0.0, 0.0, 0.0]), np.array([5.0, -3.0, 2.0, 1.0])):
         e, b = model.eb_at(x)
         assert np.array_equal(e, [0.1, 0.0, 0.0])
         assert np.array_equal(b, [0.0, 0.0, 2.0])
@@ -100,7 +98,7 @@ def test_uniform_potential_gauge():
     b0 = np.array([1.0, 0.5, -0.3])
     model = UniformEB(e0=e0, b0=b0)
     h = 1e-6
-    x = fvec(0.0, 0.7, -0.2, 0.9)
+    x = np.array([0.0, 0.7, -0.2, 0.9])
     grad = np.empty((3, 4))
     for i in range(3):
         dx = np.zeros(4)
@@ -119,27 +117,27 @@ def test_uniform_potential_gauge():
 def test_coulomb_field_example():
     """Unit charge at the origin: |E| = 1/r^2 pointing outward."""
     model = CoulombField(z_charge=1.0)
-    e, b = model.eb_at(fvec(0.0, 2.0, 0.0, 0.0))
+    e, b = model.eb_at(np.array([0.0, 2.0, 0.0, 0.0]))
     assert np.allclose(e, [0.25, 0.0, 0.0])
     assert not b.any()
-    assert model.potential_at(fvec(0.0, 2.0, 0.0, 0.0))[0] == pytest.approx(0.5)
+    assert model.potential_at(np.array([0.0, 2.0, 0.0, 0.0]))[0] == pytest.approx(0.5)
 
 
 def test_coulomb_center_offset():
     model = CoulombField(z_charge=2.0, center=np.array([1.0, 0.0, 0.0]))
-    e, _ = model.eb_at(fvec(0.0, 3.0, 0.0, 0.0))
+    e, _ = model.eb_at(np.array([0.0, 3.0, 0.0, 0.0]))
     assert np.allclose(e, [0.5, 0.0, 0.0])
 
 
 def test_coulomb_singularity_raises():
     model = CoulombField(z_charge=1.0, center=np.array([0.5, 0.0, 0.0]))
     with pytest.raises(FieldSingularityError):
-        model.eb_at(fvec(0.0, 0.5, 0.0, 0.0))
+        model.eb_at(np.array([0.0, 0.5, 0.0, 0.0]))
     with pytest.raises(FieldSingularityError):
-        model.potential_at(fvec(1.0, 0.5, 0.0, 0.0))
+        model.potential_at(np.array([1.0, 0.5, 0.0, 0.0]))
 
 
 def test_force_at_dispatches_model():
     model = UniformEB(b0=np.array([0.0, 0.0, 1.0]))
-    f = force_at(model, -1.0, fvec(0.0, 0.0, 0.0, 0.0), fvec(1.0, 1.0, 0.0, 0.0))
+    f = force_at(model, -1.0, np.array([0.0, 0.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0, 0.0]))
     assert np.allclose(f, [0.0, 0.0, 1.0, 0.0])

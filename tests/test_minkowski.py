@@ -14,7 +14,6 @@ from zsim.minkowski import (
     boost_coords,
     boost_matrix,
     boost_vector,
-    fvec,
     gamma_of,
     lower,
     mdot,
@@ -26,9 +25,7 @@ speed = st.floats(min_value=-0.95, max_value=0.95, allow_nan=False)
 
 
 def vec4s():
-    return st.tuples(component, component, component, component).map(
-        lambda t: fvec(*t)
-    )
+    return st.tuples(component, component, component, component).map(np.array)
 
 
 def boost_params():
@@ -42,7 +39,7 @@ def test_metric_signature():
 
 
 def test_mdot_signs():
-    a = fvec(2.0, 1.0, 0.0, 0.0)
+    a = np.array([2.0, 1.0, 0.0, 0.0])
     assert mdot(a, a) == pytest.approx(4.0 - 1.0)
     assert np.allclose(lower(a), [2.0, -1.0, 0.0, 0.0])
 
@@ -83,7 +80,7 @@ def test_boost_example_along_x():
     t, x = boost_coords(np.array([1.0, 0.0, 0.0]), 0.0, params)
     assert t == pytest.approx(0.75, abs=1e-15)
     assert np.allclose(x, [1.25, 0.0, 0.0])
-    ev = fvec(t, *x)
+    ev = np.array([t, *x])
     assert mdot(ev, ev) == pytest.approx(-1.0, abs=1e-14)
 
 
@@ -92,7 +89,7 @@ def test_boost_matrix_matches_coords():
     r = np.array([0.7, -1.1, 0.4])
     tau = 0.9
     t, x = boost_coords(r, tau, params)
-    ev = boost_vector(fvec(tau, *r), params)
+    ev = boost_vector(np.array([tau, *r]), params)
     assert ev[0] == pytest.approx(t, abs=1e-14)
     assert np.allclose(ev[1:], x, atol=1e-14)
 
@@ -162,7 +159,7 @@ def test_boost_inner_product_error_is_at_the_rounding_floor(a, b, v):
     test used before: that bound sits below the rounding floor of its own
     inputs.  Both the rounded and the computed outputs meet the error model.
     """
-    a, b, params = fvec(*a), fvec(*b), BoostParams(np.array(v))
+    a, b, params = np.array(a), np.array(b), BoostParams(np.array(v))
     exact = _exact_mdot(a, b)
     old_bound = 1e-12 * max(1.0, abs(float(exact)))
     bound = _boost_product_bound(a, b, params)
@@ -193,8 +190,3 @@ def test_boost_matrix_is_lorentz():
     params = BoostParams(np.array([0.6, 0.0, 0.0]))
     lam = boost_matrix(params)
     assert np.allclose(lam.T @ METRIC @ lam, METRIC, atol=1e-14)
-
-
-def test_fvec_rejects_non_finite():
-    with pytest.raises(ValueError):
-        fvec(np.nan, 0.0, 0.0, 0.0)

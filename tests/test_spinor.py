@@ -12,9 +12,7 @@ from zsim.spinor import (
     GAMMA0,
     SPIN_OP,
     U_OP,
-    StateFunction,
     boost_state,
-    closed_form_state,
     energy_projectors,
     energy_split,
     evolve_amplitudes,
@@ -183,14 +181,9 @@ def test_state_derivative_matches_evolution():
     assert np.allclose(fd, state_derivative(amps, PI_REST), atol=1e-9)
 
 
-def test_closed_form_state_validates_inputs():
-    with pytest.raises(ValueError):
-        closed_form_state(spin_amplitudes(0.1), np.array([2.0, 0.0, 0.0, 0.0]), 0.5)
-    with pytest.raises(ValueError):
-        closed_form_state(2.0 * spin_amplitudes(0.1), PI_REST, 0.5)
-    st8 = closed_form_state(spin_amplitudes(0.1), PI_REST, 0.5)
-    assert isinstance(st8, StateFunction)
-    assert st8.tau == 0.5
+def test_energy_projectors_reject_off_shell_momentum():
+    with pytest.raises(ValueError, match="off shell"):
+        energy_projectors(np.array([2.0, 0.0, 0.0, 0.0]))
 
 
 @given(theta=theta_st, phi=phi_st)

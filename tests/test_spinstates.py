@@ -6,12 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from zsim.constants import C, H_STAR, HBAR, OMEGA0, T0
 from zsim.minkowski import mdot
-from zsim.spinor import closed_form_state, evolve_amplitudes, observable, velocity_observable
+from zsim.spinor import evolve_amplitudes, observable, velocity_observable
 from zsim.spinstates import (
     PI_REST,
     axis_noncommutativity,
     axis_vector,
-    energy_split_terms,
     fix_global_phase,
     malus_probability,
     pauli_spinor,
@@ -179,15 +178,13 @@ def test_reconstruction_with_sampled_weight():
     assert rep.max_transverse_error <= 2.0 * C * scatter + 1e-14
 
 
-def test_energy_split_terms_structure():
+def test_spin_amplitude_weights():
+    """The four components split the state over spin (up/down) x energy sign:
+    up+, down+, down-, up- weigh cos^2(t/2)/2, sin^2(t/2)/2, sin^2(t/2)/2, cos^2(t/2)/2."""
     theta, phi = 1.0, -0.6
-    terms = energy_split_terms(theta, phi)
-    assert set(terms) == {"up_plus", "down_plus", "down_minus", "up_minus"}
-    total = sum(terms.values())
-    assert np.allclose(total, spin_amplitudes(theta, phi), atol=1e-15)
-    weights = {k: float(np.vdot(v, v).real) for k, v in terms.items()}
-    assert weights["up_plus"] == pytest.approx(np.cos(theta / 2) ** 2 / 2, abs=1e-14)
-    assert weights["down_plus"] == pytest.approx(np.sin(theta / 2) ** 2 / 2, abs=1e-14)
+    c2, s2 = np.cos(theta / 2) ** 2 / 2, np.sin(theta / 2) ** 2 / 2
+    weights = np.abs(spin_amplitudes(theta, phi)) ** 2
+    assert np.allclose(weights, [c2, s2, s2, c2], rtol=0.0, atol=1e-14)
 
 
 @given(theta=theta_st, phi=phi_st, tau=st.floats(min_value=0.0, max_value=10.0, allow_nan=False))
@@ -200,7 +197,7 @@ def test_pauli_reduction_recovers_two_spinor(theta, phi, tau):
             np.exp(+0.5j * phi) * np.sin(theta / 2),
         ]
     )
-    red = pauli_spinor(closed_form_state(spin_amplitudes(theta, phi), PI_REST, tau))
+    red = pauli_spinor(evolve_amplitudes(spin_amplitudes(theta, phi), PI_REST, tau), tau)
     assert np.allclose(fix_global_phase(red), fix_global_phase(chi), atol=1e-12)
 
 
@@ -212,8 +209,7 @@ def test_fix_global_phase_normalizes_leading_component():
 
 
 def test_spin_state_velocity_matches_rest_bilinear():
-    state = closed_form_state(spin_amplitudes(0.7, 0.2), PI_REST, 0.9)
-    u = velocity_observable(state.phi)
+    u = velocity_observable(evolve_amplitudes(spin_amplitudes(0.7, 0.2), PI_REST, 0.9))
     want = velocity_superposition(0.7, 0.2, 0.9)[0]
     assert np.allclose(u, want, atol=1e-13)
     assert mdot(PI_REST, u) == pytest.approx(1.0, abs=1e-13)
