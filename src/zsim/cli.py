@@ -32,6 +32,7 @@ import numpy as np
 
 from . import dynamics, spinor, spinstates, spintensor, trajio, wavefield
 from .constants import C, MASS, OMEGA0, OMEGA1
+from .minkowski import mdot
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -300,7 +301,6 @@ _EVENT_AXES = ("x0", "x1", "x2", "x3")
 def cmd_wave(args) -> int:
     sc = load_scenario(args.scenario)
     state = sc.initial_state("spinor")
-    wave = wavefield.WaveFunction(state.phi, state.pi)
     axes = args.axes.replace(",", " ").split()
     if len(axes) != 2 or len(set(axes)) != 2 or any(
         a not in _EVENT_AXES for a in axes
@@ -312,14 +312,15 @@ def cmd_wave(args) -> int:
     if args.points < 2:
         raise ScenarioError("--points must be >= 2")
     cols = [_EVENT_AXES.index(a) for a in axes]
-    # w1 |tau| at the grid corners: the largest phase that psi evaluates
-    _phase_bound(OMEGA1 * float(np.abs(state.pi[cols]).sum()) * args.extent / (2.0 * MASS * C**2),
-                 f"--extent {args.extent!r} on these --axes")
+    # w1 |tau| at the grid corners, tau from the state's event: the largest phase psi evaluates
+    _phase_bound(OMEGA1 * float(np.abs(state.pi[cols]).sum()) * args.extent / (2.0 * MASS * C**2)
+                 + OMEGA1 * abs(mdot(state.pi, state.x)) / (MASS * C**2),
+                 f"--extent {args.extent!r} on these --axes from this origin")
     grid = np.linspace(-args.extent / 2.0, args.extent / 2.0, args.points)
     ga, gb = np.meshgrid(grid, grid, indexing="ij")
     events = np.zeros((args.points * args.points, 4))
     events[:, cols[0]], events[:, cols[1]] = ga.ravel(), gb.ravel()
-    psi = wavefield.wave_function_at(wave, events)
+    psi = wavefield.wave_function_at(state, events)
     columns = {name: events[:, j] for j, name in enumerate(_EVENT_AXES)}
     for k in range(4):
         columns[f"re{k + 1}"] = psi[:, k].real

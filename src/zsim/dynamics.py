@@ -1,4 +1,4 @@
-"""Equations of motion, integration driver, closed forms, and state maps.
+"""Equations of motion, integration driver, closed forms, and matched states.
 
 The model splits the total motion x(tau) into a spin center y(tau) and a
 local circular motion z(tau) = x - y at radius r0 and angular frequency
@@ -48,9 +48,9 @@ from .spinor import (
     velocity_observable,
 )
 from .spinstates import spin_amplitudes
+from .spintensor import angular_momentum, z_from_spin
 from .states import (
     DynState,
-    FORMULATIONS,
     PositionState,
     SpinorState,
     SpinTensorState,
@@ -268,29 +268,7 @@ def integrate(
 
 
 # ---------------------------------------------------------------------------
-# State maps between formulations.
-
-
-def map_states(state: DynState, target: str) -> DynState:
-    """Convert between formulations.
-
-    position <-> spintensor both ways and spinor -> either are supported;
-    mapping into the spinor formulation has no general constructive
-    inverse and raises ValueError (build spinor states from a rest-frame
-    spin axis plus boost instead, see matched_initial_states).
-    """
-    if target not in FORMULATIONS:
-        raise ValueError(f"unknown formulation {target!r}")
-    if state.formulation == target:
-        return state
-    if target == "spinor":
-        raise ValueError(
-            "no constructive map into the spinor formulation; "
-            "use matched_initial_states for rest-frame spin states"
-        )
-    if target == "position":
-        return PositionState(state.x, state.u, state.x - state.z, state.pi)
-    return SpinTensorState(state.x, state.u, state.spin, state.pi)
+# Matched initial states.
 
 
 def matched_initial_states(
@@ -321,8 +299,7 @@ def matched_initial_states(
         pi = boost_vector(pi, params)
     u0 = velocity_observable(amps)
     spin0 = spin_tensor_observable(amps)
-    udot0 = (4.0 * C**2 / HBAR**2) * (spin0 @ lower(pi))
-    z0 = -udot0 / OMEGA0**2
+    z0 = z_from_spin(spin0, pi)
     y0 = np.zeros(4) if origin is None else np.asarray(origin, dtype=np.float64)
     x0 = y0 + z0
     return {
@@ -436,7 +413,7 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
     (1/m) pi.pi - m c^2 - f.z.
     """
     xs, us, pis = traj.xs, traj.us, traj.pis
-    js = wedge(xs, pis) + traj.states.spin
+    js = angular_momentum(traj.states)
     fs = np.stack([force_at(model, q, x, u) for x, u in zip(xs, us)])
 
     out = dict(traj.max_residuals())

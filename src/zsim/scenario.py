@@ -46,9 +46,9 @@ from pathlib import Path
 import numpy as np
 
 from .constants import Q_ELECTRON, T0
-from .dynamics import map_states, matched_initial_states
+from .dynamics import matched_initial_states
 from .emfield import CoulombField, FieldModel, FreeField, UniformEB
-from .states import DynState, FORMULATIONS, PositionState
+from .states import DynState, FORMULATIONS, PositionState, SpinTensorState
 
 
 class ScenarioError(Exception):
@@ -225,7 +225,8 @@ def _scenario_from_parser(cp: configparser.ConfigParser) -> Scenario:
                                                 phase=phase)
             else:
                 pos = PositionState(**raw)
-                states = {"position": pos, "spintensor": map_states(pos, "spintensor")}
+                states = {"position": pos,
+                          "spintensor": SpinTensorState(pos.x, pos.u, pos.spin, pos.pi)}
     except ValueError as exc:
         raise ScenarioError(f"cannot build the initial states: {str(exc).split(':')[0]}") from None
     sc = Scenario(name=name, formulation=formulation, field_variant=variant, field=field,
@@ -342,7 +343,8 @@ def load_scenario(source: str) -> Scenario:
                 "nor a readable file"
             )
         try:
-            cp.read_string(path.read_text())
-        except configparser.Error as exc:
-            raise ScenarioError(f"bad INI syntax in {source}: {exc}") from None
+            cp.read_string(path.read_text(), source=source)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            detail = " ".join(str(exc).split())  # configparser's spans several lines
+            raise ScenarioError(f"bad INI syntax in {source}: {detail}") from None
     return _scenario_from_parser(cp)

@@ -25,7 +25,7 @@ from .emfield import FieldModel, field_tensor, force_at
 from .minkowski import METRIC, Vec4, antisymmetric_parts, lower, mdot, wedge
 
 if TYPE_CHECKING:  # states imports this module at run time
-    from .states import PositionState
+    from .states import DynState, PositionState
 
 
 def build_spin_tensor(z: Vec4, u: Vec4) -> np.ndarray:
@@ -226,23 +226,10 @@ def energy_diagnostics(
     }
 
 
-@dataclass(frozen=True)
-class AngularMomentum:
-    orbital: np.ndarray
-    spin: np.ndarray
-    total: np.ndarray
-    total_vector: np.ndarray
+def angular_momentum(state: DynState) -> np.ndarray:
+    """Total angular momentum J = x ^ pi + S about the coordinate origin.
 
-
-def angular_momentum(state: PositionState) -> AngularMomentum:
-    """Orbital x ^ pi, spin, and conserved total J = L + S.
-
-    The three-vector form is J = x cross P - s.
+    J is conserved on free motion; its space part in the (d, s) layout is
+    -(x cross P - s).  Accepts one state or a stack.
     """
-    orbital = wedge(state.x, state.pi)
-    spin = state.spin
-    _, s = antisymmetric_parts(spin)
-    total = orbital + spin
-    j_vec = np.cross(state.x[1:], state.pi[1:]) - s
-    return AngularMomentum(orbital=orbital, spin=spin, total=total, total_vector=j_vec)
-
+    return wedge(state.x, state.pi) + state.spin

@@ -1,9 +1,10 @@
 """Space-time wave function of the free electron and ensemble density checks.
 
-The state function phi(tau) extends to a field by synchronizing proper
-time over space-time events: tau(x) = (pi.x)/(m c^2), so
+The state function phi(tau) of a ``SpinorState`` extends to a field by
+synchronizing proper time over space-time events, measured from the
+state's own event x_s: tau(x) = pi.(x - x_s)/(m c^2), so
 
-    psi(x) = phi(tau(x)),    d_mu tau = pi_mu / (m c^2).
+    psi(x) = phi(tau(x)),    d_mu tau = pi_mu / (m c^2),    psi(x_s) = phi.
 
 psi satisfies the free wave equation u_op^mu (i hbar d_mu) psi = m c^2 psi
 and the Klein-Gordon equation, carries a conserved current
@@ -33,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .constants import C, HBAR, MASS, OMEGA0, OMEGA1
-from .minkowski import Vec4, lower, mdot
+from .minkowski import lower, mdot
 from .spinor import (
     GAMMA0,
     U_OP,
@@ -42,33 +43,18 @@ from .spinor import (
     hamiltonian,
     velocity_observable,
 )
-from .states import PositionState
+from .states import PositionState, SpinorState
 
 
-@dataclass(frozen=True)
-class WaveFunction:
-    """Free-electron wave: amplitudes at tau = 0 plus a constant momentum."""
-
-    amps: np.ndarray
-    pi: Vec4
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        pi = np.asarray(self.pi, dtype=np.float64)
-        if amps.shape != (4,) or pi.shape != (4,):
-            raise ValueError("amps and pi must be 4-vectors")
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "pi", pi)
+def proper_time_of(wave: SpinorState, x) -> np.ndarray | float:
+    """Synchronized proper time tau(x) = (pi.x - pi.x_s)/(m c^2), zero at x_s."""
+    # not pi.(x - x_s): pi.x_s = 0.0 at the origin, where tau keeps the bits of pi.x / (m c^2)
+    return (mdot(wave.pi, np.asarray(x, dtype=np.float64)) - mdot(wave.pi, wave.x)) / (MASS * C**2)
 
 
-def proper_time_of(wave: WaveFunction, x) -> np.ndarray | float:
-    """Synchronized proper time tau(x) = (pi.x)/(m c^2)."""
-    return mdot(wave.pi, np.asarray(x, dtype=np.float64)) / (MASS * C**2)
-
-
-def wave_function_at(wave: WaveFunction, x) -> np.ndarray:
+def wave_function_at(wave: SpinorState, x) -> np.ndarray:
     """psi(x) = phi(tau(x)); accepts one event (4,) or a stack (N, 4)."""
-    return evolve_amplitudes(wave.amps, wave.pi, proper_time_of(wave, x))
+    return evolve_amplitudes(wave.phi, wave.pi, proper_time_of(wave, x))
 
 
 def _as_events(xs) -> np.ndarray:
@@ -84,7 +70,7 @@ def _shifted(f, xs, h: float):
         yield mu, f(xs + step), f(xs - step)
 
 
-def gradient_analytic(wave: WaveFunction, xs) -> np.ndarray:
+def gradient_analytic(wave: SpinorState, xs) -> np.ndarray:
     """Exact i hbar d_mu psi = (pi_mu / m c^2) H psi, shape (N, 4, 4).
 
     Index order: sample, mu, spinor component.  pi_mu is the lowered
@@ -96,7 +82,7 @@ def gradient_analytic(wave: WaveFunction, xs) -> np.ndarray:
     return lower(wave.pi)[None, :, None] / (MASS * C**2) * hpsi[:, None, :]
 
 
-def gradient_fd(wave: WaveFunction, xs, h: float = 1e-3) -> np.ndarray:
+def gradient_fd(wave: SpinorState, xs, h: float = 1e-3) -> np.ndarray:
     """Central-difference i hbar d_mu psi, same shape as the analytic form."""
     xs = _as_events(xs)
     out = np.empty((xs.shape[0], 4, 4), dtype=np.complex128)
@@ -105,7 +91,7 @@ def gradient_fd(wave: WaveFunction, xs, h: float = 1e-3) -> np.ndarray:
     return out
 
 
-def dirac_residual(wave: WaveFunction, xs, h: float | None = None) -> float:
+def dirac_residual(wave: SpinorState, xs, h: float | None = None) -> float:
     """Max norm of u_op^mu (i hbar d_mu) psi - m c^2 psi over the events.
 
     With ``h`` None the gradient is analytic (residual at rounding level
@@ -119,7 +105,7 @@ def dirac_residual(wave: WaveFunction, xs, h: float | None = None) -> float:
     return float(np.abs(slashed - MASS * C**2 * psi).max())
 
 
-def klein_gordon_residual(wave: WaveFunction, xs, h: float | None = None) -> float:
+def klein_gordon_residual(wave: SpinorState, xs, h: float | None = None) -> float:
     """Max norm of (d.d + (m c / hbar)^2) psi.
 
     Analytic when ``h`` is None, else second central differences per axis
@@ -137,7 +123,7 @@ def klein_gordon_residual(wave: WaveFunction, xs, h: float | None = None) -> flo
     return float(np.abs(box + (MASS * C / HBAR) ** 2 * psi).max())
 
 
-def momentum_extraction(wave: WaveFunction, xs) -> np.ndarray:
+def momentum_extraction(wave: SpinorState, xs) -> np.ndarray:
     """Contravariant momenta psibar (i hbar d^mu) psi / (psibar psi ... ).
 
     For the model's states psibar H psi = m c^2, so the bilinear
@@ -154,14 +140,14 @@ def momentum_extraction(wave: WaveFunction, xs) -> np.ndarray:
     return out
 
 
-def current_density(wave: WaveFunction, xs) -> np.ndarray:
+def current_density(wave: SpinorState, xs) -> np.ndarray:
     """Conserved current j^mu = psibar u_op^mu psi (N, 4); j^0 = c psi*psi > 0."""
     xs = _as_events(xs)
     psi = wave_function_at(wave, xs)
     return velocity_observable(psi)
 
 
-def continuity_divergence(wave: WaveFunction, xs, h: float = 1e-3) -> float:
+def continuity_divergence(wave: SpinorState, xs, h: float = 1e-3) -> float:
     """Max |d_mu j^mu| by central differences (zero up to O(h^2))."""
     xs = _as_events(xs)
     div = np.zeros(xs.shape[0])
@@ -171,13 +157,13 @@ def continuity_divergence(wave: WaveFunction, xs, h: float = 1e-3) -> float:
     return float(np.abs(div).max())
 
 
-def velocity_field(wave: WaveFunction, xs) -> np.ndarray:
+def velocity_field(wave: SpinorState, xs) -> np.ndarray:
     """Three-velocity field U = c u_vec / u0 of the current; |U| = c."""
     j = current_density(wave, xs)
     return C * j[:, 1:] / j[:, 0:1]
 
 
-def energy_split_fields(wave: WaveFunction, xs) -> tuple[np.ndarray, np.ndarray]:
+def energy_split_fields(wave: SpinorState, xs) -> tuple[np.ndarray, np.ndarray]:
     """Positive/negative frequency parts psi_pm(x) = exp(-+ i theta) A_pm.
 
     theta(x) is the phase OMEGA1 tau(x); the parts are eigenfunctions of
@@ -185,12 +171,12 @@ def energy_split_fields(wave: WaveFunction, xs) -> tuple[np.ndarray, np.ndarray]
     """
     xs = _as_events(xs)
     taus = np.atleast_1d(proper_time_of(wave, xs))
-    plus, minus = energy_split(wave.amps, wave.pi)
+    plus, minus = energy_split(wave.phi, wave.pi)
     theta = OMEGA1 * taus[:, None]
     return np.exp(-1j * theta) * plus[None, :], np.exp(+1j * theta) * minus[None, :]
 
 
-def de_broglie(wave: WaveFunction) -> dict[str, float]:
+def de_broglie(wave: SpinorState) -> dict[str, float]:
     """Wave kinematics: angular frequency E/(hbar/2), wave vector P/(hbar/2).
 
     The phase speed is c^2 / V, superluminal for a moving electron, while

@@ -56,9 +56,8 @@ from zsim.spinstates import (
     velocity_superposition,
 )
 from zsim.spintensor import build_spin_tensor, identity_suite, interaction_energy
-from zsim.states import PositionState
+from zsim.states import PositionState, SpinorState
 from zsim.wavefield import (
-    WaveFunction,
     dirac_residual,
     ensemble_uniformity,
     klein_gordon_residual,
@@ -267,7 +266,8 @@ def test_criterion_06_operator_identities():
 
 def test_criterion_07_wave_function():
     params = BoostParams(BOOST)
-    wave = WaveFunction(
+    wave = SpinorState(
+        np.zeros(4),
         boost_state(spin_amplitudes(THETA, PHI), params),
         boost_vector(PI_REST, params),
     )

@@ -22,8 +22,9 @@ from zsim.cli import EXIT_FAIL, EXIT_OK, EXIT_USAGE, main
 from zsim.constants import C, MASS, OMEGA0, OMEGA1
 from zsim.dynamics import matched_initial_states
 from zsim.scenario import load_scenario
+from zsim.states import SpinorState
 from zsim.trajio import read_csv
-from zsim.wavefield import WaveFunction, proper_time_of
+from zsim.wavefield import proper_time_of
 
 
 def test_run_writes_trajectory_and_summary(tmp_path):
@@ -144,15 +145,16 @@ def test_ensemble_and_wave_evaluate_no_phase_past_2_51(verb, velocity, size, nea
             corners[:, cols] = list(itertools.product((-0.5, 0.5), repeat=2))
             omega, shifts = OMEGA1, [0.0]
         else:
+            # the ensemble synchronizes tau(x) = pi.x / (m c^2) from the origin event
             state = matched_initial_states(0.0, velocity=np.array(velocity))["spinor"]
+            state = SpinorState(np.zeros(4), state.phi, state.pi)
             corners = np.zeros((8, 4))
             corners[:, 1:] = list(itertools.product((0.0, 1.0), repeat=3))
             omega, shifts = OMEGA0, [0.0, periods * 2.0 * np.pi / OMEGA0]
-        wave = WaveFunction(state.phi, state.pi)
-        per_size = omega * float(np.abs(proper_time_of(wave, corners)).max())
+        per_size = omega * float(np.abs(proper_time_of(state, corners)).max())
         if near_edge is not None and per_size > 0.0:
             size = 2.0 ** (51.0 + near_edge) / per_size
-        taus = proper_time_of(wave, size * corners)
+        taus = proper_time_of(state, size * corners)
         phase = omega * max(float(np.abs(taus + s).max()) for s in shifts)
         assume(abs(phase / 2.0**51 - 1.0) > 1e-9)
         if verb == "wave":
@@ -342,6 +344,9 @@ _BAD_INI = {
     "typo-tolerance": "[tolerances]\ndrfit = 1e-30\n[run]\nperiods = 0.01\n",
     # every section already sets its keys, so a [DEFAULT] value is never read
     "default-section": "[DEFAULT]\nperiods = 0.01\n",
+    "bad-b0": "[field]\nvariant = uniform\nb0 = 0 0 x\n",
+    # the wave's tau is measured from the state's event, which is this far from x = 0
+    "far-origin": "[initial]\norigin = 1e17 0 0 0\n",
 }
 
 
@@ -405,6 +410,11 @@ _BAD_INI = {
         ["ensemble", "--flow", "corrupted", "--box", "1e200", "--n", "10"],
         # the identity batteries read no scenario, so a given one would be ignored
         ["verify", "--suite", "identities", "--scenario", "/nonexistent.ini"],
+        ["wave", "--scenario", "free-rest", "--points", "1"],
+        # a seed too large for a float
+        ["sample", "--theta", "1", "--count", "10", "--seed", "9" * 400],
+        ["run", "--scenario", "INI:bad-b0"],
+        ["wave", "--scenario", "INI:far-origin"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, argv):
@@ -590,6 +600,18 @@ def test_ensemble_corrupted_cost_does_not_grow_with_periods(tmp_path):
 def test_unknown_scenario_usage_error(tmp_path):
     rc = main(["run", "--scenario", "not-a-preset", "--out", str(tmp_path)])
     assert rc == EXIT_USAGE
+
+
+@pytest.mark.parametrize("content", [b"velocity = 0.1 0 0\n", b"[run]\nperiods\n",
+                                     b"\xff[run]\n"])
+def test_malformed_ini_exits_2_on_one_stderr_line(tmp_path, content):
+    """A file with no section header, a key with no '=', or bytes that are
+    not UTF-8: exit 2 and one stderr line that names the file."""
+    ini = tmp_path / "malformed.ini"
+    ini.write_bytes(content)
+    rc, stderr = _main_outcome(["run", "--scenario", str(ini), "--out", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert len(stderr.splitlines()) == 1 and str(ini) in stderr, stderr
 
 
 def test_scenario_file_accepted(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Integration drivers, formulation maps, closed-form oracle agreement."""
+"""Integration drivers, state constructions, closed-form oracle agreement."""
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from zsim.dynamics import (
     fourth_order_residual,
     free_motion,
     integrate,
-    map_states,
     matched_initial_states,
     oracle_errors,
     pack_state,
@@ -157,34 +156,25 @@ def test_matched_states_phase_rotates_start_point():
                        shifted.x, atol=1e-13)
 
 
-def test_map_states_round_trip():
+def test_position_and_tensor_states_round_trip():
     states = boosted_states()
     pos = states["position"]
-    tensor = map_states(pos, "spintensor")
-    back = map_states(tensor, "position")
+    tensor = SpinTensorState(pos.x, pos.u, pos.spin, pos.pi)
+    back = PositionState(tensor.x, tensor.u, tensor.x - tensor.z, tensor.pi)
     assert np.allclose(back.x, pos.x, atol=1e-13)
     assert np.allclose(back.u, pos.u, atol=1e-13)
     assert np.allclose(back.y, pos.y, atol=1e-12)
     assert np.allclose(back.pi, pos.pi, atol=1e-13)
 
 
-def test_map_states_from_spinor():
+def test_spinor_state_gives_position_and_tensor_states():
     states = boosted_states()
     spinor = states["spinor"]
-    pos = map_states(spinor, "position")
-    tensor = map_states(spinor, "spintensor")
+    pos = PositionState(spinor.x, spinor.u, spinor.x - spinor.z, spinor.pi)
+    tensor = SpinTensorState(spinor.x, spinor.u, spinor.spin, spinor.pi)
     assert np.allclose(pos.u, states["position"].u, atol=1e-13)
     assert np.allclose(pos.y, states["position"].y, atol=1e-13)
     assert np.allclose(tensor.spin, states["spintensor"].spin, atol=1e-13)
-
-
-def test_map_states_into_spinor_rejected():
-    states = boosted_states()
-    with pytest.raises(ValueError):
-        map_states(states["position"], "spinor")
-    with pytest.raises(ValueError):
-        map_states(states["position"], "nonsense")
-    assert map_states(states["position"], "position") is states["position"]
 
 
 def test_validator_catches_each_constraint():
@@ -210,7 +200,9 @@ def test_validator_catches_each_constraint():
 
     # negating u and pi keeps c1, c2, c3 and g but runs coordinate time backwards
     reversed_pos = PositionState(pos.x, -pos.u, pos.y, -pos.pi)
-    for state in (reversed_pos, map_states(reversed_pos, "spintensor")):
+    reversed_tensor = SpinTensorState(reversed_pos.x, reversed_pos.u, reversed_pos.spin,
+                                      reversed_pos.pi)
+    for state in (reversed_pos, reversed_tensor):
         with pytest.raises(ConstraintViolationError) as exc:
             validate_state(state)
         assert [name for name, _ in exc.value.failures] == ["tdot_positive"]
@@ -293,6 +285,8 @@ def test_states_reject_misshapen_fields():
         PositionState(pos.x.reshape(2, 2), pos.u, pos.y, pos.pi)
     with pytest.raises(ValueError, match="shape"):
         SpinTensorState(st.x, st.u, st.spin[:, :3], st.pi)
+    with pytest.raises(ValueError, match="antisymmetric"):
+        SpinTensorState(st.x, st.u, st.spin + np.diag([0.0, 1e-3, 0.0, 0.0]), st.pi)
 
 
 def test_trajectory_grid_and_offset():

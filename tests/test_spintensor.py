@@ -270,20 +270,21 @@ def test_angular_momentum_conserved_free():
     totals = []
     for x, u, y in zip(xs, us, centers):
         st8 = PositionState(x=x, u=u, y=y, pi=state0.pi)
-        totals.append(angular_momentum(st8).total)
+        totals.append(angular_momentum(st8))
     totals = np.array(totals)
     drift = np.abs(totals - totals[0]).max()
     assert drift < 1e-12, f"angular momentum drift {drift}"
 
 
 def test_angular_momentum_vector_form():
+    """The space part of J in the (d, s) layout, negated, is x cross P - s."""
     state = matched_initial_states(0.7, -0.9, velocity=np.array([0.2, 0.3, 0.0]))[
         "position"
     ]
-    am = angular_momentum(state)
-    _, s = antisymmetric_parts(am.spin)
+    _, j_space = antisymmetric_parts(angular_momentum(state))
+    _, s = antisymmetric_parts(state.spin)
     want = np.cross(state.x[1:], state.pi[1:]) - s
-    assert np.allclose(am.total_vector, want, atol=1e-15)
+    assert np.allclose(-j_space, want, atol=1e-15)
 
 
 def test_spin_magnitude_scales_with_tdot():

@@ -13,8 +13,8 @@ from zsim.dynamics import matched_initial_states
 from zsim.minkowski import BoostParams, boost_vector, gamma_of, mdot
 from zsim.spinor import boost_state, velocity_observable
 from zsim.spinstates import PI_REST, spin_amplitudes
+from zsim.states import SpinorState
 from zsim.wavefield import (
-    WaveFunction,
     continuity_divergence,
     current_density,
     de_broglie,
@@ -34,11 +34,11 @@ theta_st = st.floats(min_value=0.0, max_value=np.pi, allow_nan=False)
 speed_st = st.floats(min_value=-0.8, max_value=0.8, allow_nan=False)
 
 
-def moving_wave(theta=np.pi / 3, phi=0.4, v=(0.6, 0.0, 0.0)) -> WaveFunction:
+def moving_wave(theta=np.pi / 3, phi=0.4, v=(0.6, 0.0, 0.0)) -> SpinorState:
     params = BoostParams(np.array(v))
     amps = boost_state(spin_amplitudes(theta, phi), params)
     pi = boost_vector(PI_REST, params)
-    return WaveFunction(amps, pi)
+    return SpinorState(np.zeros(4), amps, pi)
 
 
 def event_cloud(n=200, seed=7) -> np.ndarray:
@@ -47,9 +47,9 @@ def event_cloud(n=200, seed=7) -> np.ndarray:
 
 def test_wave_function_validates_shapes():
     with pytest.raises(ValueError):
-        WaveFunction(np.zeros(3, dtype=complex), PI_REST)
+        SpinorState(np.zeros(4), np.zeros(3, dtype=complex), PI_REST)
     with pytest.raises(ValueError):
-        WaveFunction(np.zeros(4, dtype=complex), np.zeros(3))
+        SpinorState(np.zeros(4), np.zeros(4, dtype=complex), np.zeros(3))
 
 
 def test_synchronized_proper_time_example():
@@ -84,9 +84,23 @@ def test_wave_agrees_with_state_on_worldline():
 
     assert np.allclose(
         wave_function_at(wave, events),
-        evolve_amplitudes(wave.amps, wave.pi, taus),
+        evolve_amplitudes(wave.phi, wave.pi, taus),
         atol=1e-12,
     )
+
+
+def test_wave_is_its_state_at_the_state_event():
+    """tau is measured from the state's own event, so psi(x_s) = phi there
+    exactly, also for a state away from the origin, and the wave moves with it."""
+    state = matched_initial_states(np.pi / 3, 0.4, velocity=np.array([0.3, 0.0, 0.1]),
+                                   origin=np.array([0.5, 1.0, -2.0, 3.0]),
+                                   phase=2 * np.pi / 3)["spinor"]
+    assert mdot(state.pi, state.x) != 0.0
+    assert np.array_equal(wave_function_at(state, state.x), state.phi)
+    xs = event_cloud(20)
+    at_origin = SpinorState(np.zeros(4), state.phi, state.pi)
+    assert np.allclose(wave_function_at(state, xs + state.x), wave_function_at(at_origin, xs),
+                       atol=1e-12)
 
 
 def test_first_order_field_equation_analytic():
@@ -180,7 +194,7 @@ def test_de_broglie_kinematics():
     assert info["phase_speed"] == pytest.approx(C**2 / 0.6, rel=1e-12)
     assert info["group_speed"] == pytest.approx(0.6, rel=1e-12)
     assert info["phase_speed"] * info["group_speed"] == pytest.approx(C**2, rel=1e-12)
-    rest = de_broglie(WaveFunction(spin_amplitudes(0.2), PI_REST))
+    rest = de_broglie(SpinorState(np.zeros(4), spin_amplitudes(0.2), PI_REST))
     assert rest["wavelength"] == np.inf
     assert rest["phase_speed"] == np.inf
 

@@ -155,6 +155,9 @@ def calls() -> list[list[str]]:
     # and a field scenario's drift and equivalence tolerances
     out.append(["verify", "--suite", "identities"])
     out.append(["verify", "--scenario", "uniform-b-weak"])
+    # the wave of a state away from the origin, its tau measured from the state's
+    # event; appended last, since a call's index names its output directory
+    out.append(["wave", "--scenario", "phased-e0.ini"])
     return out
 
 
