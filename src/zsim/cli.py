@@ -250,13 +250,12 @@ def cmd_sample(args) -> int:
             parse_angle(args.device_theta), parse_angle(args.device_phi)
         ),
     )
-    payload = report.to_dict()
     out = _out_dir(args)
-    trajio.write_json_report(out / f"sample-{args.tag}.json", payload)
-    print(f"n_up={report.n_up} n_dn={report.n_dn} "
-          f"p_hat={report.p_up_hat:.5f} p={report.p_up_theory:.5f} "
-          f"z={report.z_score:+.2f}")
-    return EXIT_OK if abs(report.z_score) <= 5.0 else EXIT_FAIL
+    trajio.write_json_report(out / f"sample-{args.tag}.json", report)
+    z = report["z_score"]
+    print(f"n_up={report['n_up']} n_dn={report['n_dn']} "
+          f"p_hat={report['p_up_hat']:.5f} p={report['p_up_theory']:.5f} z={z:+.2f}")
+    return EXIT_OK if _check("sample[z]", abs(z), 5.0) else EXIT_FAIL
 
 
 # criterion 10's significance level: a p-value below it rejects uniformity
@@ -282,17 +281,15 @@ def cmd_ensemble(args) -> int:
         flow=args.flow,
     )
     _timing(f"ensemble {args.flow}: {time.perf_counter() - t0:.2f}s")
-    payload = report.to_dict()
-    uniform = report.p_value >= ENSEMBLE_ALPHA
-    expected_uniform = args.flow == "free"
-    payload["alpha"] = ENSEMBLE_ALPHA
-    payload["uniform"] = bool(uniform)
-    payload["pass"] = bool(uniform == expected_uniform)
+    uniform = report["p_value"] >= ENSEMBLE_ALPHA
+    report["alpha"] = ENSEMBLE_ALPHA
+    report["uniform"] = bool(uniform)
+    report["pass"] = bool(uniform == (args.flow == "free"))
     out = _out_dir(args)
-    trajio.write_json_report(out / f"ensemble-{args.flow}-{args.seed}.json", payload)
-    print(f"{'PASS' if payload['pass'] else 'FAIL'} ensemble[{args.flow}]: "
-          f"chi2={report.chi2:.1f} dof={report.dof} p={report.p_value:.4g}")
-    return EXIT_OK if payload["pass"] else EXIT_FAIL
+    trajio.write_json_report(out / f"ensemble-{args.flow}-{args.seed}.json", report)
+    print(f"{'PASS' if report['pass'] else 'FAIL'} ensemble[{args.flow}]: "
+          f"chi2={report['chi2']:.1f} dof={report['dof']} p={report['p_value']:.4g}")
+    return EXIT_OK if report["pass"] else EXIT_FAIL
 
 
 _EVENT_AXES = ("x0", "x1", "x2", "x3")

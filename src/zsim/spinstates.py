@@ -19,7 +19,6 @@ reported, not corrected.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -161,7 +160,8 @@ def transition_probability(axis: np.ndarray, device_axis: np.ndarray) -> float:
     """Up probability (1 + n.m)/2 for unit axis n measured along m."""
     n = np.asarray(axis, dtype=np.float64)
     m = np.asarray(device_axis, dtype=np.float64)
-    return 0.5 * (1.0 + float(np.dot(n, m)))
+    # n.m of antiparallel unit axes can round below -1, which would give p < 0
+    return min(max(0.5 * (1.0 + float(np.dot(n, m))), 0.0), 1.0)
 
 
 def axis_noncommutativity(axis_a: np.ndarray, axis_b: np.ndarray) -> dict[str, float]:
@@ -179,49 +179,21 @@ def axis_noncommutativity(axis_a: np.ndarray, axis_b: np.ndarray) -> dict[str, f
     return {"measured": measured, "expected": expected}
 
 
-@dataclass(frozen=True)
-class MeasurementReport:
-    """Outcome tally of repeated two-channel spin measurements."""
-
-    theta: float
-    phi: float
-    device_axis: np.ndarray
-    count: int
-    seed: int
-    n_up: int
-    n_dn: int
-    p_up_theory: float
-
-    @property
-    def p_up_hat(self) -> float:
-        return self.n_up / self.count
-
-    @property
-    def z_score(self) -> float:
-        p = self.p_up_theory
-        sigma = math.sqrt(self.count * p * (1.0 - p))
-        if sigma == 0.0:
-            return 0.0
-        return (self.n_up - self.count * p) / sigma
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "device_axis": [float(v) for v in self.device_axis],
-                "p_up_hat": self.p_up_hat, "z_score": self.z_score}
-
-
 def sample_measurements(
     theta: float,
     phi: float = 0.0,
     count: int = 100_000,
     seed: int = 0,
     device_axis: np.ndarray | None = None,
-) -> MeasurementReport:
+) -> dict:
     """Bernoulli sampling of up/down outcomes along a device axis.
 
     Each electron enters the device with an independent uniform zitter
     phase; the phase is drawn (and discarded) to model distinct arrivals
     but the outcome law depends only on the axes.  The generator is the
-    seeded numpy default (PCG64), so tallies are reproducible.
+    seeded numpy default (PCG64), so tallies are reproducible.  Returns
+    the tally with the sampled up fraction ``p_up_hat`` and its z-score
+    against ``p_up_theory`` (0.0 when the outcome is certain).
     """
     if count <= 0:
         raise ValueError("count must be positive")
@@ -231,33 +203,19 @@ def sample_measurements(
     rng = np.random.default_rng(seed)
     rng.uniform(0.0, 2.0 * math.pi, size=count)  # arrival phases, outcome-independent
     n_up = int(np.count_nonzero(rng.random(count) < p))
-    return MeasurementReport(
-        theta=theta,
-        phi=phi,
-        device_axis=m,
-        count=count,
-        seed=seed,
-        n_up=n_up,
-        n_dn=count - n_up,
-        p_up_theory=p,
-    )
-
-
-@dataclass(frozen=True)
-class ReconstructionReport:
-    """Mean local velocity of a measured mixture against the pure state.
-
-    The up/down mixture with the theoretical (or sampled) weights
-    reproduces the transverse velocity components of the tilted input
-    exactly, but its axial component averages to zero while the input
-    oscillates with amplitude c sin(theta).  ``axial_gap`` records that
-    unrecovered part.
-    """
-
-    taus: np.ndarray
-    u_mixture: np.ndarray
-    max_transverse_error: float
-    axial_gap: np.ndarray
+    sigma = math.sqrt(count * p * (1.0 - p))
+    return {
+        "theta": theta,
+        "phi": phi,
+        "device_axis": [float(v) for v in m],
+        "count": count,
+        "seed": seed,
+        "n_up": n_up,
+        "n_dn": count - n_up,
+        "p_up_theory": p,
+        "p_up_hat": n_up / count,
+        "z_score": 0.0 if sigma == 0.0 else (n_up - count * p) / sigma,
+    }
 
 
 def reconstruct_mean_velocity(
@@ -265,12 +223,17 @@ def reconstruct_mean_velocity(
     phi: float = 0.0,
     taus=None,
     p_up: float | None = None,
-) -> ReconstructionReport:
-    """Mix the closed-form up/down velocities with the given weights.
+) -> dict:
+    """Mean local velocity of a measured mixture against the pure state.
 
-    ``p_up`` defaults to the exact Malus probability; pass a sampled
+    Mixes the closed-form up/down velocities with the given weights;
+    ``p_up`` defaults to the exact Malus probability, pass a sampled
     estimate to see finite-count scatter.  The device axis is the polar
-    axis.
+    axis.  The mixture ``u_mixture`` reproduces the transverse velocity
+    components of the tilted input exactly (``max_transverse_error``),
+    but its axial component averages to zero while the input oscillates
+    with amplitude c sin(theta); ``axial_gap`` records that unrecovered
+    part.
     """
     if taus is None:
         taus = np.linspace(0.0, 2.0 * math.pi / OMEGA0, 64, endpoint=False)
@@ -279,12 +242,11 @@ def reconstruct_mean_velocity(
     u_in = velocity_superposition(theta, phi, taus)
     u_mix = p * velocity_up(taus, phi) + (1.0 - p) * velocity_down(taus, phi)
     max_t = float(np.abs(u_in[:, 1:3] - u_mix[:, 1:3]).max())
-    return ReconstructionReport(
-        taus=taus,
-        u_mixture=u_mix,
-        max_transverse_error=max_t,
-        axial_gap=u_in[:, 3] - u_mix[:, 3],
-    )
+    return {
+        "u_mixture": u_mix,
+        "max_transverse_error": max_t,
+        "axial_gap": u_in[:, 3] - u_mix[:, 3],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ report scaled max-norm residuals so corrupted states are detectable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -130,33 +129,17 @@ def identity_suite(state: PositionState) -> dict[str, float]:
     return out
 
 
-@dataclass(frozen=True)
-class DipoleReport:
-    """Field interaction energy split into dipole pieces.
-
-    ``phi`` is the total interaction energy f.z; the two ``phi_via_*``
-    entries are independent computation routes that must agree with it.
-    """
-
-    phi: float
-    u_magnetic: float
-    u_electric: float
-    magnetic_moment: np.ndarray
-    electric_moment: np.ndarray
-    gamma_implied: float
-    phi_via_tensor: float
-    phi_via_vectors: float
-
-
 def interaction_energy(
     state: PositionState, model: FieldModel, q: float
-) -> DipoleReport:
+) -> dict:
     """Interaction energy Phi = f.z and its dipole decomposition.
 
     Routes: (a) the defining contraction f.z with the Lorentz force,
     (b) the tensor contraction -(q / 2m) F^{mu nu} S_{mu nu}, and
     (c) the dipole form -(q / m)(B.s + E.d / c) = U_m + U_e with moments
-    mu = (q / m) s and eps = (q / (m c)) d.
+    mu = (q / m) s and eps = (q / (m c)) d.  ``phi`` is the total from
+    route (a); the two ``phi_via_*`` entries are routes (b) and (c),
+    independent of it, and must agree with ``phi``.
     """
     e_vec, b_vec = model.eb_at(state.x)
     f = force_at(model, q, state.x, state.u)
@@ -175,16 +158,16 @@ def interaction_energy(
     v2 = float(np.dot(vel, vel))
     gamma_implied = float(np.sqrt((1.0 + (u_m + u_e) / (MASS * C**2)) / (1.0 - v2 / C**2)))
 
-    return DipoleReport(
-        phi=phi_force,
-        u_magnetic=u_m,
-        u_electric=u_e,
-        magnetic_moment=(q / MASS) * s,
-        electric_moment=(q / (MASS * C)) * d,
-        gamma_implied=gamma_implied,
-        phi_via_tensor=phi_tensor,
-        phi_via_vectors=u_m + u_e,
-    )
+    return {
+        "phi": phi_force,
+        "u_magnetic": u_m,
+        "u_electric": u_e,
+        "magnetic_moment": (q / MASS) * s,
+        "electric_moment": (q / (MASS * C)) * d,
+        "gamma_implied": gamma_implied,
+        "phi_via_tensor": phi_tensor,
+        "phi_via_vectors": u_m + u_e,
+    }
 
 
 def energy_diagnostics(
@@ -201,7 +184,7 @@ def energy_diagnostics(
       rest of U_e.
     """
     report = interaction_energy(state, model, q)
-    phi = report.phi
+    phi = report["phi"]
     pi = state.pi
     residual = float(mdot(pi, pi)) / MASS - MASS * C**2 - phi
 
@@ -220,8 +203,8 @@ def energy_diagnostics(
         "energy_residual": residual,
         "kinetic_error": float(kinetic_error),
         "u_electric_dominant": dominant,
-        "u_electric_remainder": report.u_electric - dominant,
-        "gamma_implied": report.gamma_implied,
+        "u_electric_remainder": report["u_electric"] - dominant,
+        "gamma_implied": report["gamma_implied"],
         "gamma_momentum": float(pi[0] / (MASS * C)),
     }
 

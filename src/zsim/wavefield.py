@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -201,27 +200,6 @@ def de_broglie(wave: SpinorState) -> dict[str, float]:
 # Ensemble density transport.
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    """Chi-squared uniformity report for a transported ensemble."""
-
-    flow: str
-    n: int
-    periods: float
-    bins: int
-    box: float
-    seed: int
-    chi2: float
-    dof: int
-    p_value: float
-    counts_min: int
-    counts_max: int
-    counts_sha256: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _oscillation_coefficients(state0: PositionState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spatial drift and zitter coefficients of the free velocity.
 
@@ -243,7 +221,7 @@ def ensemble_uniformity(
     box: float = 2.0,
     flow: str = "free",
     steps_per_period: int = 50,
-) -> DensityReport:
+) -> dict:
     """Transport a uniform ensemble and chi-squared test the final density.
 
     Positions start uniform in a periodic box; each electron carries the
@@ -256,8 +234,9 @@ def ensemble_uniformity(
     velocity (see ``_corrupted_flow``), which distorts the density; its
     cost does not depend on ``periods``.  ``steps_per_period`` is not
     used; it stays for callers that bind it by name (the benchmark's
-    tracer).  Raises ValueError unless every particle ends at a finite
-    position, so a verdict always counts all ``n`` of them.
+    tracer).  Returns the inputs with chi2, dof, p_value and the bin
+    counts' min, max and SHA-256.  Raises ValueError unless every particle
+    ends at a finite position, so a verdict always counts all ``n`` of them.
     """
     if flow not in ("free", "corrupted"):
         raise ValueError("flow must be 'free' or 'corrupted'")
@@ -293,20 +272,20 @@ def ensemble_uniformity(
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = bins**3 - 1
     p = _chi2_sf(dof, stat)
-    return DensityReport(
-        flow=flow,
-        n=n,
-        periods=periods,
-        bins=bins,
-        box=box,
-        seed=seed,
-        chi2=stat,
-        dof=dof,
-        p_value=p,
-        counts_min=int(counts.min()),
-        counts_max=int(counts.max()),
-        counts_sha256=hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest(),
-    )
+    return {
+        "flow": flow,
+        "n": n,
+        "periods": periods,
+        "bins": bins,
+        "box": box,
+        "seed": seed,
+        "chi2": stat,
+        "dof": dof,
+        "p_value": p,
+        "counts_min": int(counts.min()),
+        "counts_max": int(counts.max()),
+        "counts_sha256": hashlib.sha256(np.ascontiguousarray(counts).tobytes()).hexdigest(),
+    }
 
 
 def _corrupted_flow(

@@ -222,8 +222,8 @@ def test_criterion_05_identity_battery():
     state = matched_initial_states(THETA, PHI, velocity=BOOST)["position"]
     rep = interaction_energy(state, model, Q_ELECTRON)
     spread = max(
-        abs(rep.phi_via_tensor - rep.phi),
-        abs(rep.phi_via_vectors - rep.phi),
+        abs(rep["phi_via_tensor"] - rep["phi"]),
+        abs(rep["phi_via_vectors"] - rep["phi"]),
     )
     report("criterion 5 dipole energy routes", spread, 1e-12)
 
@@ -233,7 +233,7 @@ def test_criterion_05_identity_battery():
                                Q_ELECTRON)
     expected = H_STAR * abs(Q_ELECTRON) * b / MASS
     report("criterion 5 aligned-spin magnetic energy",
-           abs(rep_b.u_magnetic - expected) / expected, 1e-10, "relative")
+           abs(rep_b["u_magnetic"] - expected) / expected, 1e-10, "relative")
 
 
 def test_criterion_06_operator_identities():
@@ -338,15 +338,15 @@ def test_criterion_09_measurement_statistics():
     taus = np.linspace(0.0, T0, 201)
     for theta in (np.pi / 6, np.pi / 2, 2 * np.pi / 3):
         rep = sample_measurements(theta, count=100_000, seed=0)
-        z = abs(rep.z_score)
+        z = abs(rep["z_score"])
         report(f"criterion 9 tally[theta={theta:.3f}]", z, 3.0, "|z|")
 
-        recon = reconstruct_mean_velocity(theta, taus=taus, p_up=rep.p_up_hat)
-        bound = 2.0 * C * abs(rep.p_up_hat - malus_probability(theta)) + 1e-14
+        recon = reconstruct_mean_velocity(theta, taus=taus, p_up=rep["p_up_hat"])
+        bound = 2.0 * C * abs(rep["p_up_hat"] - malus_probability(theta)) + 1e-14
         report(f"criterion 9 mixture transverse[theta={theta:.3f}]",
-               recon.max_transverse_error, bound, "sampling bound")
+               recon["max_transverse_error"], bound, "sampling bound")
         print(f"INFO criterion 9: axial velocity gap amplitude "
-              f"{np.abs(recon.axial_gap).max():.4f} "
+              f"{np.abs(recon['axial_gap']).max():.4f} "
               f"(mixture averages the c sin(theta) = {C * np.sin(theta):.4f} "
               f"oscillation to zero)")
 
@@ -356,16 +356,16 @@ def test_criterion_10_ensemble_uniformity():
         "position"
     ]
     free = ensemble_uniformity(state, n=100_000, periods=10.0, seed=0, bins=16)
-    ok_free = free.p_value > 0.01
+    ok_free = free["p_value"] > 0.01
     print(f"{'PASS' if ok_free else 'FAIL'} criterion 10 free flow uniform: "
-          f"chi2={free.chi2:.1f} dof={free.dof} p={free.p_value:.4f} > 0.01")
+          f"chi2={free['chi2']:.1f} dof={free['dof']} p={free['p_value']:.4f} > 0.01")
     assert ok_free
 
     bad = ensemble_uniformity(state, n=100_000, periods=10.0, seed=0, bins=16,
                               flow="corrupted")
-    ok_bad = bad.p_value < 0.01
+    ok_bad = bad["p_value"] < 0.01
     print(f"{'PASS' if ok_bad else 'FAIL'} criterion 10 corrupted flow rejected: "
-          f"chi2={bad.chi2:.1f} dof={bad.dof} p={bad.p_value:.4g} < 0.01")
+          f"chi2={bad['chi2']:.1f} dof={bad['dof']} p={bad['p_value']:.4g} < 0.01")
     assert ok_bad
 
 

@@ -555,7 +555,17 @@ def test_sample_writes_report(tmp_path, capsys):
     assert payload["n_up"] == 50250
     assert payload["p_up_theory"] == pytest.approx(0.5)
     assert abs(payload["z_score"]) < 3
-    assert "p_hat=0.50250" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "p_hat=0.50250" in out
+    assert "PASS sample[z]: 1.581e+00 <= 5.000e+00" in out.splitlines()
+    # antiparallel unit axes: n.m rounds below -1, the probability must not go negative
+    rc = main(
+        ["sample", "--theta", "3*pi/5", "--device-theta", "2*pi/5", "--device-phi", "pi",
+         "--count", "10", "--tag", "anti", "--out", str(tmp_path)]
+    )
+    assert rc == EXIT_OK
+    payload = json.loads((tmp_path / "sample-anti.json").read_text())
+    assert payload["p_up_theory"] == 0.0 and payload["z_score"] == 0.0
 
 
 def test_sample_bad_angle_usage_error(tmp_path):

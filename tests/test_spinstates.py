@@ -139,17 +139,17 @@ def test_sampling_frozen_tallies():
     expect = {np.pi / 6: 93450, np.pi / 2: 50250, 2 * np.pi / 3: 24920}
     for theta, n_up in expect.items():
         rep = sample_measurements(theta, count=100_000, seed=0)
-        assert rep.n_up == n_up, f"tally changed: {rep.n_up} != {n_up}"
-        assert rep.n_up + rep.n_dn == 100_000
-        assert abs(rep.z_score) < 3.0, f"theta={theta}: z={rep.z_score}"
-    assert sample_measurements(np.pi / 2, count=100_000, seed=1).n_up == 50090
+        assert rep["n_up"] == n_up, f"tally changed: {rep['n_up']} != {n_up}"
+        assert rep["n_up"] + rep["n_dn"] == 100_000
+        assert abs(rep["z_score"]) < 3.0, f"theta={theta}: z={rep['z_score']}"
+    assert sample_measurements(np.pi / 2, count=100_000, seed=1)["n_up"] == 50090
 
 
 def test_sampling_device_axis_aligned():
     """Measuring along the polarization axis gives all-up with certainty."""
     rep = sample_measurements(0.9, 0.4, count=1000, seed=3, device_axis=axis_vector(0.9, 0.4))
-    assert rep.n_up == 1000
-    assert rep.z_score == 0.0
+    assert rep["n_up"] == 1000
+    assert rep["z_score"] == 0.0
 
 
 def test_sampling_rejects_bad_count():
@@ -163,19 +163,19 @@ def test_reconstruction_transverse_exact_axial_gap():
     theta, phi = 2 * np.pi / 3, 0.8
     taus = np.linspace(0.0, 2 * T0, 128, endpoint=False)
     rep = reconstruct_mean_velocity(theta, phi, taus)
-    assert rep.max_transverse_error < 1e-14, f"transverse {rep.max_transverse_error}"
+    assert rep["max_transverse_error"] < 1e-14, f"transverse {rep['max_transverse_error']}"
     want_gap = -C * np.sin(theta) * np.cos(OMEGA0 * taus)
-    assert np.allclose(rep.axial_gap, want_gap, atol=1e-14)
-    assert np.abs(rep.u_mixture[:, 3]).max() == 0.0
+    assert np.allclose(rep["axial_gap"], want_gap, atol=1e-14)
+    assert np.abs(rep["u_mixture"][:, 3]).max() == 0.0
 
 
 def test_reconstruction_with_sampled_weight():
     """A sampled Malus weight reproduces the transverse motion to O(1/sqrt(N))."""
     theta = np.pi / 3
     rep_meas = sample_measurements(theta, count=100_000, seed=0)
-    rep = reconstruct_mean_velocity(theta, 0.0, p_up=rep_meas.p_up_hat)
-    scatter = abs(rep_meas.p_up_hat - malus_probability(theta))
-    assert rep.max_transverse_error <= 2.0 * C * scatter + 1e-14
+    rep = reconstruct_mean_velocity(theta, 0.0, p_up=rep_meas["p_up_hat"])
+    scatter = abs(rep_meas["p_up_hat"] - malus_probability(theta))
+    assert rep["max_transverse_error"] <= 2.0 * C * scatter + 1e-14
 
 
 def test_spin_amplitude_weights():

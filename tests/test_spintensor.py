@@ -205,9 +205,9 @@ def test_interaction_energy_routes_agree():
     )["position"]
     model = UniformEB(e0=np.array([2e-4, 0.0, -1e-4]), b0=np.array([0.0, 5e-4, 3e-4]))
     rep = interaction_energy(state, model, Q_ELECTRON)
-    assert rep.phi_via_tensor == pytest.approx(rep.phi, abs=1e-12)
-    assert rep.phi_via_vectors == pytest.approx(rep.phi, abs=1e-12)
-    assert rep.u_magnetic + rep.u_electric == pytest.approx(rep.phi, abs=1e-15)
+    assert rep["phi_via_tensor"] == pytest.approx(rep["phi"], abs=1e-12)
+    assert rep["phi_via_vectors"] == pytest.approx(rep["phi"], abs=1e-12)
+    assert rep["u_magnetic"] + rep["u_electric"] == pytest.approx(rep["phi"], abs=1e-15)
 
 
 def test_magnetic_dipole_energy_aligned():
@@ -215,16 +215,16 @@ def test_magnetic_dipole_energy_aligned():
     state = matched_initial_states(0.0)["position"]
     b = 1e-3
     rep = interaction_energy(state, UniformEB(b0=np.array([0.0, 0.0, b])), Q_ELECTRON)
-    assert rep.u_magnetic == pytest.approx(H_STAR * b / MASS, rel=1e-12)
-    assert rep.u_electric == pytest.approx(0.0, abs=1e-18)
-    assert np.allclose(rep.magnetic_moment, [0.0, 0.0, Q_ELECTRON * H_STAR])
+    assert rep["u_magnetic"] == pytest.approx(H_STAR * b / MASS, rel=1e-12)
+    assert rep["u_electric"] == pytest.approx(0.0, abs=1e-18)
+    assert np.allclose(rep["magnetic_moment"], [0.0, 0.0, Q_ELECTRON * H_STAR])
 
 
 def test_magnetic_dipole_energy_anti_aligned():
     state = matched_initial_states(np.pi)["position"]
     b = 1e-3
     rep = interaction_energy(state, UniformEB(b0=np.array([0.0, 0.0, b])), Q_ELECTRON)
-    assert rep.u_magnetic == pytest.approx(-H_STAR * b / MASS, rel=1e-12)
+    assert rep["u_magnetic"] == pytest.approx(-H_STAR * b / MASS, rel=1e-12)
 
 
 def test_energy_residual_zero_for_free_states():

@@ -208,9 +208,10 @@ def drifting_state():
 def test_ensemble_free_flow_stays_uniform():
     """Whole-period free transport is rigid, so uniformity survives."""
     rep = ensemble_uniformity(drifting_state(), n=20_000, periods=2.0, seed=0, bins=8)
-    assert rep.p_value > 0.05, f"chi2 {rep.chi2}, p {rep.p_value}"
-    assert rep.dof == 8**3 - 1
-    assert abs(rep.p_value - chi2.sf(rep.chi2, rep.dof)) <= _chi2_sf_bound(rep.dof, rep.chi2)
+    assert rep["p_value"] > 0.05, f"chi2 {rep['chi2']}, p {rep['p_value']}"
+    assert rep["dof"] == 8**3 - 1
+    assert (abs(rep["p_value"] - chi2.sf(rep["chi2"], rep["dof"]))
+            <= _chi2_sf_bound(rep["dof"], rep["chi2"]))
 
 
 def test_ensemble_corrupted_flow_rejected():
@@ -218,9 +219,10 @@ def test_ensemble_corrupted_flow_rejected():
     rep = ensemble_uniformity(
         drifting_state(), n=20_000, periods=2.0, seed=0, bins=8, flow="corrupted"
     )
-    assert rep.p_value < 1e-6, f"chi2 {rep.chi2}, p {rep.p_value}"
-    assert rep.chi2 > 10 * rep.dof
-    assert abs(rep.p_value - chi2.sf(rep.chi2, rep.dof)) <= _chi2_sf_bound(rep.dof, rep.chi2)
+    assert rep["p_value"] < 1e-6, f"chi2 {rep['chi2']}, p {rep['p_value']}"
+    assert rep["chi2"] > 10 * rep["dof"]
+    assert (abs(rep["p_value"] - chi2.sf(rep["chi2"], rep["dof"]))
+            <= _chi2_sf_bound(rep["dof"], rep["chi2"]))
 
 
 def test_ensemble_corrupted_needs_drift():
@@ -230,21 +232,20 @@ def test_ensemble_corrupted_needs_drift():
     rest = matched_initial_states(0.0)["position"]
     rep = ensemble_uniformity(rest, n=20_000, periods=2.0, seed=0, bins=8, flow="corrupted")
     base = ensemble_uniformity(rest, n=20_000, periods=0.0, seed=0, bins=8)
-    assert rep.counts_sha256 == base.counts_sha256
+    assert rep["counts_sha256"] == base["counts_sha256"]
 
 
 def test_ensemble_zero_periods_is_plain_draw():
     rep = ensemble_uniformity(drifting_state(), n=20_000, periods=0.0, seed=0, bins=8)
-    assert rep.p_value > 0.05
+    assert rep["p_value"] > 0.05
 
 
 def test_ensemble_deterministic_and_serializable():
     rep1 = ensemble_uniformity(drifting_state(), n=5_000, periods=1.0, seed=11, bins=4)
     rep2 = ensemble_uniformity(drifting_state(), n=5_000, periods=1.0, seed=11, bins=4)
-    assert rep1.counts_sha256 == rep2.counts_sha256
-    assert rep1.chi2 == rep2.chi2
-    d = rep1.to_dict()
-    assert d["flow"] == "free" and d["n"] == 5_000 and len(d["counts_sha256"]) == 64
+    assert rep1["counts_sha256"] == rep2["counts_sha256"]
+    assert rep1["chi2"] == rep2["chi2"]
+    assert rep1["flow"] == "free" and rep1["n"] == 5_000 and len(rep1["counts_sha256"]) == 64
 
 
 def _corrupted_flow_reference(x0, tau0, drift, osc_a, osc_b, pvec, span, n_steps):
@@ -326,7 +327,7 @@ def test_corrupted_flow_long_span_past_cosh_overflow():
     assert np.isfinite(wavefield._corrupted_flow(*args, 1000.0 * T0)).all()
     reps = [ensemble_uniformity(state, n=20_000, periods=p, seed=0, bins=8, flow="corrupted")
             for p in (10.0, 1000.0)]
-    assert [rep.p_value < 0.01 for rep in reps] == [True, True]
+    assert [rep["p_value"] < 0.01 for rep in reps] == [True, True]
 
 
 def test_ensemble_without_finite_positions_gives_no_verdict():

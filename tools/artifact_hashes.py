@@ -158,6 +158,10 @@ def calls() -> list[list[str]]:
     # the wave of a state away from the origin, its tau measured from the state's
     # event; appended last, since a call's index names its output directory
     out.append(["wave", "--scenario", "phased-e0.ini"])
+    # antiparallel spin and device axes, where n.m rounds below -1: the up
+    # probability is clamped to exactly 0
+    out.append(["sample", "--theta", "3*pi/5", "--device-theta", "2*pi/5", "--device-phi", "pi",
+                "--count", "1000", "--seed", "2"])
     return out
 
 
