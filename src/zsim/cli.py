@@ -22,6 +22,7 @@ else the working directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -180,18 +181,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if all(passed) else EXIT_FAIL
 
 
-def _compare_worker(payload: tuple[str, str, float, bool]) -> tuple[str, Trajectory]:
-    source, formulation, corrupt_momentum, validate = payload
-    sc = load_scenario(source)
-    return formulation, _run_one(sc, formulation, corrupt_momentum, validate)
-
-
 def cmd_compare(args) -> int:
     sc = load_scenario(args.scenario)
     formulations = _scenario_formulations(sc)
     if len(formulations) < 2:
         raise ScenarioError("compare needs a scenario with formulation = all")
-    validate = not args.no_validate
+    # a partial of a module-level function pickles; a closure would not
+    run = functools.partial(_run_one, sc, corrupt_momentum=args.corrupt_momentum,
+                            validate=not args.no_validate)
     t0 = time.perf_counter()
     if args.jobs > 1:
         # imported here: only this branch uses it, and it costs import time
@@ -199,11 +196,9 @@ def cmd_compare(args) -> int:
 
         # a fork-started pool launches all its workers at once, needed or not
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(formulations))) as pool:
-            trajs = dict(pool.map(_compare_worker,
-                                  [(args.scenario, f, args.corrupt_momentum, validate)
-                                   for f in formulations]))
+            trajs = dict(zip(formulations, pool.map(run, formulations)))
     else:
-        trajs = {f: _run_one(sc, f, args.corrupt_momentum, validate) for f in formulations}
+        trajs = {f: run(f) for f in formulations}
     _timing(f"compare {sc.name}: {time.perf_counter() - t0:.2f}s")
     report = dynamics.compare_trajectories(trajs)
     tol = sc.tolerances["compare"]
@@ -270,6 +265,15 @@ def cmd_ensemble(args) -> int:
     # w0 |tau0| at the far corner of the box plus the span: the largest phase a flow evaluates
     _phase_bound(OMEGA0 * args.box * float(np.abs(state.pi[1:]).sum()) / (MASS * C**2)
                  + 2.0 * math.pi * args.periods, f"--box {args.box!r} and this --velocity")
+    # either flow ends within box + span (|drift| + |(a, b)|) on each axis; a bin k ulps of that
+    # end wide biases its count by about 1/k, and the chi2 excess n/k^2 must stay below sqrt(2 dof)
+    drift, osc_a, osc_b = wavefield._oscillation_coefficients(state)
+    speed = float(np.max(np.abs(drift) + np.hypot(osc_a, osc_b)))
+    end = args.box + 2.0 * math.pi * args.periods / OMEGA0 * speed
+    dof = args.bins**3 - 1  # one cell (dof = 0) holds every count: no floor
+    floor = args.bins * math.ulp(end) * (args.n**2 / (2.0 * dof)) ** 0.25 if dof else 0.0
+    if args.box < floor:
+        raise ScenarioError(f"--box {args.box!r} is below its float resolution floor {floor:.3g}")
     t0 = time.perf_counter()
     report = wavefield.ensemble_uniformity(
         state,

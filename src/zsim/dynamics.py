@@ -322,10 +322,11 @@ def oracle_errors(traj: Trajectory, state0: PositionState) -> dict[str, float]:
     xs, us, centers = free_motion(state0, traj.taus)
     def err(a, b):
         return float((np.abs(a - b) / max(1.0, np.abs(b).max())).max())
-    out = {"x": err(traj.xs, xs), "u": err(traj.us, us)}
+    states = traj.states
+    out = {"x": err(states.x, xs), "u": err(states.u, us)}
     if traj.formulation == "position":
-        out["y"] = err(traj.states.y, centers)
-    out["pi"] = err(traj.pis, np.broadcast_to(state0.pi, traj.pis.shape))
+        out["y"] = err(states.y, centers)
+    out["pi"] = err(states.pi, np.broadcast_to(state0.pi, states.pi.shape))
     out["overall"] = max(out.values())
     return out
 
@@ -347,7 +348,7 @@ def compare_trajectories(trajs: dict[str, Trajectory]) -> ComparisonReport:
     arrays = {}
     for name, tr in trajs.items():
         d, s = antisymmetric_parts(tr.states.spin)
-        arrays[name] = {"x": tr.xs, "u": tr.us, "pi": tr.pis, "d": d, "s": s}
+        arrays[name] = {"x": tr.states.x, "u": tr.states.u, "pi": tr.states.pi, "d": d, "s": s}
     names = sorted(trajs)
     per_pair: dict[str, dict[str, float]] = {}
     overall = 0.0
@@ -378,7 +379,7 @@ def fourth_order_residual(
     scalar ``max_residual``.
     """
     dt = traj.dt
-    xs = traj.xs
+    xs = traj.states.x
     if len(traj) < 5:
         raise ValueError("need at least five samples")
     x4 = (xs[:-4] - 4 * xs[1:-3] + 6 * xs[2:-2] - 4 * xs[3:-1] + xs[4:]) / dt**4
@@ -389,7 +390,7 @@ def fourth_order_residual(
     resid = x4 + OMEGA0**2 * x2 - (OMEGA0**2 / MASS) * lorentz_force(q, es, bs, x1)
     resid_norm = np.abs(resid).max(axis=1)
 
-    us = traj.us
+    us = traj.states.u
     udot = (us[2:] - us[:-2]) / (2 * dt)
     pot = np.stack([model.potential_at(xrow) for xrow in xs[1:-1]])
     lag = (
@@ -412,7 +413,7 @@ def conservation_drift(traj: Trajectory, model: FieldModel, q: float = Q_ELECTRO
     max constraint residuals and the energy-equation residual
     (1/m) pi.pi - m c^2 - f.z.
     """
-    xs, us, pis = traj.xs, traj.us, traj.pis
+    xs, us, pis = traj.states.x, traj.states.u, traj.states.pi
     js = angular_momentum(traj.states)
     fs = np.stack([force_at(model, q, x, u) for x, u in zip(xs, us)])
 

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import C, H_STAR, HBAR, MASS, OMEGA0
-from .emfield import FieldModel, field_tensor, force_at
+from .emfield import FieldModel, field_tensor, lorentz_force
 from .minkowski import METRIC, Vec4, antisymmetric_parts, lower, mdot, wedge
 
 if TYPE_CHECKING:  # states imports this module at run time
@@ -132,7 +132,7 @@ def identity_suite(state: PositionState) -> dict[str, float]:
 def interaction_energy(
     state: PositionState, model: FieldModel, q: float
 ) -> dict:
-    """Interaction energy Phi = f.z and its dipole decomposition.
+    """Interaction energy Phi = f.z, its dipole decomposition and the energy equation.
 
     Routes: (a) the defining contraction f.z with the Lorentz force,
     (b) the tensor contraction -(q / 2m) F^{mu nu} S_{mu nu}, and
@@ -140,11 +140,20 @@ def interaction_energy(
     mu = (q / m) s and eps = (q / (m c)) d.  ``phi`` is the total from
     route (a); the two ``phi_via_*`` entries are routes (b) and (c),
     independent of it, and must agree with ``phi``.
+
+    * ``energy_residual``: (1/m) pi.pi - m c^2 - Phi, identically zero on
+      exact states.
+    * ``kinetic_error``: E - (m c^2 + m V^2 / 2 + Phi / 2), the error of the
+      low-speed expansion (meaningful only for |V| << c).
+    * ``u_electric_dominant``: leading moving-dipole term
+      -(q / (m^2 c^2)) (E x P).s / tdot, and ``u_electric_remainder`` the
+      rest of U_e.
     """
     e_vec, b_vec = model.eb_at(state.x)
-    f = force_at(model, q, state.x, state.u)
+    f = lorentz_force(q, e_vec, b_vec, state.u)
     spin = state.spin
     d, s = antisymmetric_parts(spin)
+    pi = state.pi
 
     phi_force = float(mdot(f, state.z))
     f_tensor = field_tensor(e_vec, b_vec)
@@ -153,10 +162,12 @@ def interaction_energy(
     u_m = float(-(q / MASS) * np.dot(b_vec, s))
     u_e = float(-(q / (MASS * C)) * np.dot(e_vec, d))
 
-    energy = C * state.pi[0]
-    vel = C**2 * state.pi[1:] / energy
+    energy = C * pi[0]
+    vel = C**2 * pi[1:] / energy
     v2 = float(np.dot(vel, vel))
     gamma_implied = float(np.sqrt((1.0 + (u_m + u_e) / (MASS * C**2)) / (1.0 - v2 / C**2)))
+    tdot = state.u[0] / C
+    dominant = float(-(q / (MASS**2 * C**2)) * np.dot(np.cross(e_vec, pi[1:]), s) / tdot)
 
     return {
         "phi": phi_force,
@@ -167,45 +178,11 @@ def interaction_energy(
         "gamma_implied": gamma_implied,
         "phi_via_tensor": phi_tensor,
         "phi_via_vectors": u_m + u_e,
-    }
-
-
-def energy_diagnostics(
-    state: PositionState, model: FieldModel, q: float
-) -> dict[str, float]:
-    """Energy-equation residual and low-speed expansion terms.
-
-    * ``energy_residual``: (1/m) pi.pi - m c^2 - Phi, identically zero on
-      exact states.
-    * ``kinetic_error``: E - (m c^2 + m V^2 / 2 + Phi / 2), the error of the
-      low-speed expansion (meaningful for |V| << c).
-    * ``u_electric_dominant``: leading moving-dipole term
-      -(q / (m^2 c^2)) (E x P).s / tdot, and ``u_electric_remainder`` the
-      rest of U_e.
-    """
-    report = interaction_energy(state, model, q)
-    phi = report["phi"]
-    pi = state.pi
-    residual = float(mdot(pi, pi)) / MASS - MASS * C**2 - phi
-
-    energy = C * pi[0]
-    vel = C**2 * pi[1:] / energy
-    v2 = float(np.dot(vel, vel))
-    kinetic_error = energy - (MASS * C**2 + 0.5 * MASS * v2 + 0.5 * phi)
-
-    e_vec, _ = model.eb_at(state.x)
-    _, s = antisymmetric_parts(state.spin)
-    tdot = state.u[0] / C
-    dominant = float(
-        -(q / (MASS**2 * C**2)) * np.dot(np.cross(e_vec, pi[1:]), s) / tdot
-    )
-    return {
-        "energy_residual": residual,
-        "kinetic_error": float(kinetic_error),
-        "u_electric_dominant": dominant,
-        "u_electric_remainder": report["u_electric"] - dominant,
-        "gamma_implied": report["gamma_implied"],
         "gamma_momentum": float(pi[0] / (MASS * C)),
+        "energy_residual": float(mdot(pi, pi)) / MASS - MASS * C**2 - phi_force,
+        "kinetic_error": float(energy - (MASS * C**2 + 0.5 * MASS * v2 + 0.5 * phi_force)),
+        "u_electric_dominant": dominant,
+        "u_electric_remainder": u_e - dominant,
     }
 
 

@@ -25,7 +25,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .minkowski import Vec4, antisymmetric_parts, assert_finite
+from .minkowski import Vec4, assert_finite
 from .spinor import spin_tensor_observable, velocity_observable
 from .spintensor import build_spin_tensor, z_from_spin
 
@@ -124,9 +124,7 @@ class Trajectory:
     """Sampled integration output for one formulation.
 
     ``states`` is one state of the run's formulation that holds every
-    sample, its fields stacked and indexed by sample first; ``xs``,
-    ``us``, ``pis`` and ``spins`` read it.  ``spins`` holds the six
-    independent spin-tensor components ordered (d1, d2, d3, s1, s2, s3).
+    sample, its fields stacked and indexed by sample first.
     ``residuals`` holds the per-sample constraint values, which are all
     zero for exact states:
 
@@ -141,10 +139,6 @@ class Trajectory:
     residuals: dict[str, np.ndarray]
 
     formulation = property(lambda self: self.states.formulation)
-    xs = property(lambda self: self.states.x)
-    us = property(lambda self: self.states.u)
-    pis = property(lambda self: self.states.pi)
-    spins = property(lambda self: np.concatenate(antisymmetric_parts(self.states.spin), axis=-1))
 
     def __len__(self) -> int:
         return self.taus.shape[0]

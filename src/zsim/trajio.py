@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .minkowski import antisymmetric_parts
 from .states import Trajectory
 
 _COMMON_HEAD = ["tau", "t", "x1", "x2", "x3", "u0", "u1", "u2", "u3"]
@@ -41,13 +42,15 @@ def column_names(formulation: str) -> list[str]:
 
 def row_table(traj: Trajectory) -> np.ndarray:
     """All columns as one float array (samples, columns)."""
+    states, res = traj.states, traj.residuals
     if traj.formulation == "spinor":
-        block = traj.states.phi.view(np.float64)  # re and im interleaved
+        block = states.phi.view(np.float64)  # re and im interleaved
+    elif traj.formulation == "position":
+        block = states.y
     else:
-        block = traj.states.y if traj.formulation == "position" else traj.spins
-    res = traj.residuals
+        block = np.concatenate(antisymmetric_parts(states.spin), axis=-1)  # (d, s)
     return np.column_stack(
-        [traj.taus, traj.xs, traj.us, block, traj.pis, *(res[k] for k in ("c1", "c2", "c3", "g"))]
+        [traj.taus, states.x, states.u, block, states.pi, *(res[k] for k in ("c1", "c2", "c3", "g"))]
     )
 
 

@@ -375,9 +375,9 @@ def test_criterion_11_uniform_field_frequencies(warmed_up):
     sc = load_scenario("uniform-b-cyclotron")
     traj = integrate(sc.initial_state(), sc.field, sc.dt, sc.n_steps,
                      q=sc.charge, record_every=sc.record_every)
-    angles = np.unwrap(np.arctan2(traj.pis[:, 2], traj.pis[:, 1]))
-    slope_lab = np.polyfit(traj.xs[:, 0], angles, 1)[0]
-    gamma = traj.pis[0, 0] / (MASS * C)
+    angles = np.unwrap(np.arctan2(traj.states.pi[:, 2], traj.states.pi[:, 1]))
+    slope_lab = np.polyfit(traj.states.x[:, 0], angles, 1)[0]
+    gamma = traj.states.pi[0, 0] / (MASS * C)
     b = float(sc.field.b0[2])
     expected = abs(Q_ELECTRON) * b / (gamma * MASS)
     rel = abs(abs(slope_lab) - expected) / expected
@@ -386,8 +386,8 @@ def test_criterion_11_uniform_field_frequencies(warmed_up):
     sc2 = load_scenario("uniform-b-precession")
     traj2 = integrate(sc2.initial_state(), sc2.field, sc2.dt,
                       sc2.n_steps, q=sc2.charge, record_every=sc2.record_every)
-    assert traj2.spins is not None
-    s_angles = np.unwrap(np.arctan2(traj2.spins[:, 4], traj2.spins[:, 3]))
+    _, s = antisymmetric_parts(traj2.states.spin)
+    s_angles = np.unwrap(np.arctan2(s[:, 1], s[:, 0]))
     slope_spin = np.polyfit(traj2.taus, s_angles, 1)[0]
     half_cyclotron = abs(Q_ELECTRON) * float(sc2.field.b0[2]) / (2.0 * MASS)
     ratio = abs(slope_spin) / half_cyclotron

@@ -219,13 +219,55 @@ def test_compare_corrupted_momentum_detected_with_jobs(tmp_path, capsys):
     assert capsys.readouterr().err.count("error: constraint validation failed") == 1
 
 
+_PHASED_E0_INI = """[scenario]
+name = phased-e0
+formulation = all
+[field]
+variant = uniform
+e0 = 2e-7 0 -1e-7
+[initial]
+theta = pi/3
+phi = 0.4
+phase = 2*pi/3
+velocity = 0.3 0 0.1
+origin = 0.5 1 -2 3
+[run]
+periods = 2
+[tolerances]
+drift = 1e-5
+compare = 1e-5
+"""
+
+
 def test_compare_jobs_report_byte_identical(tmp_path):
+    """The pool's workers run the parsed scenario, a preset's or an INI file's, and
+    write the serial run's bytes."""
+    ini = tmp_path / "phased-e0.ini"
+    ini.write_text(_PHASED_E0_INI)
+    for scenario, name in (("free-rest", "free-rest"), (str(ini), "phased-e0")):
+        for jobs in ("1", "2"):
+            rc = main(["compare", "--scenario", scenario, "--jobs", jobs,
+                       "--out", str(tmp_path / name / jobs)])
+            assert rc == EXIT_OK
+        report = f"{name}-compare.json"
+        assert ((tmp_path / name / "1" / report).read_bytes()
+                == (tmp_path / name / "2" / report).read_bytes())
+
+
+def test_compare_divergence_crosses_the_pool(tmp_path):
+    """Two steps per period is past RK4's stability limit: with and without the
+    pool, compare exits 1 on the same single divergence line."""
+    ini = tmp_path / "diverging.ini"
+    ini.write_text("[scenario]\nname = diverging\nformulation = all\n[initial]\n"
+                   "theta = pi/3\nphi = 0.4\nvelocity = 0.3 0 0.1\n"
+                   "[run]\nsteps_per_period = 2\nperiods = 400\nrecord_every = 1\n")
+    errors = []
     for jobs in ("1", "2"):
-        rc = main(["compare", "--scenario", "free-rest", "--jobs", jobs,
-                   "--out", str(tmp_path / jobs)])
-        assert rc == EXIT_OK
-    name = "free-rest-compare.json"
-    assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+        rc, stderr = _main_outcome(["compare", "--scenario", str(ini), "--jobs", jobs,
+                                    "--out", str(tmp_path / jobs)])
+        assert rc == EXIT_FAIL
+        errors.append(_error_lines(stderr))
+    assert errors[0] == errors[1] == ["error: integration diverged near tau = 788.54"]
 
 
 def test_compare_pool_has_at_most_one_worker_per_formulation(tmp_path, monkeypatch):
@@ -312,6 +354,43 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.relative_to(repo)}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_every_top_level_name_is_referenced():
+    """Each top-level function, class and assigned name of src/zsim (dunder names
+    aside) is referenced in src/zsim, tests, tools or perfbench: as a loaded name,
+    an attribute, an imported name, or a word of a string constant that is not a
+    docstring (the generated RK4 loops call helpers from their source text)."""
+    repo = Path(__file__).resolve().parents[1]
+    defined, used = [], set()
+    for path in sorted(p for d in ("src/zsim", "tests", "tools", "perfbench")
+                       for p in (repo / d).glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and id(node) not in docstrings:
+                used.update(re.findall(r"\w+", node.value))
+        if path.parent.name != "zsim":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, name) for name in names if not name.startswith("__")]
+    assert [f"src/zsim/{file}: {name}" for file, name in defined if name not in used] == []
 
 
 def _main_outcome(argv) -> tuple[int, str]:
@@ -415,6 +494,10 @@ _BAD_INI = {
         ["sample", "--theta", "1", "--count", "10", "--seed", "9" * 400],
         ["run", "--scenario", "INI:bad-b0"],
         ["wave", "--scenario", "INI:far-origin"],
+        # bins a few ulps of the end coordinates wide: rounding, not the flow, sets the counts
+        ["ensemble", "--box", "3e-13"],
+        ["ensemble", "--box", "1e-14"],
+        ["ensemble", "--flow", "corrupted", "--box", "1e-13"],
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(tmp_path, monkeypatch, argv):
@@ -592,6 +675,26 @@ def test_ensemble_free_and_corrupted(tmp_path, capsys):
     assert bad["chi2"] > 10 * bad["dof"]
     out = capsys.readouterr().out
     assert out.count("PASS ensemble") == 2
+
+
+def test_ensemble_box_floor_keeps_the_free_flow_uniform(tmp_path, capsys):
+    """At the default --n and --bins the smallest accepted --box holds k = (n^2 /
+    (2 dof))^(1/4) ulps of the end bound per bin, and there the free flow passes
+    and the negative control still fails; just below it ensemble exits 2."""
+    # end bound of the default state: 2 + 10 periods of 2 pi / w0 at |drift| + |(a, b)|
+    # = 0.98 + 1.72 along x1, 76.8, whose ulp is 2^-46
+    floor = 16 * 2.0**-46 * (100_000**2 / (2 * (16**3 - 1))) ** 0.25
+    below = ["ensemble", "--box", repr(floor * (1 - 1e-15)), "--out", str(tmp_path / "below")]
+    rc, stderr = _main_outcome(below)
+    assert rc == EXIT_USAGE and len(_error_lines(stderr)) == 1, stderr
+    assert not (tmp_path / "below").exists()
+    for flow, seed in (("free", "0"), ("free", "1"), ("corrupted", "0")):
+        rc = main(["ensemble", "--flow", flow, "--seed", seed, "--box", repr(floor),
+                   "--out", str(tmp_path)])
+        assert rc == EXIT_OK, (flow, seed)
+        report = json.loads((tmp_path / f"ensemble-{flow}-{seed}.json").read_text())
+        assert report["uniform"] is (flow == "free"), (flow, seed, report["p_value"])
+    assert capsys.readouterr().out.count("PASS ensemble") == 3
 
 
 def test_ensemble_corrupted_cost_does_not_grow_with_periods(tmp_path):

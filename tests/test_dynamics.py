@@ -272,7 +272,7 @@ def test_trajectory_states_stack_the_single_states(formulation):
     traj = integrate(state0, UniformEB(b0=np.array([0.0, 0.0, 1e-3])), T0 / 1000, 100,
                      record_every=10)
     assert pack_state(traj.state_at(0)).tobytes() == pack_state(state0).tobytes()
-    assert traj.us is traj.states.u
+    assert traj.states.u is traj.states.u
     for i in range(len(traj)):
         single = unpack_state(formulation, pack_state(traj.state_at(i)))
         for name in ("u", "z", "spin"):
@@ -341,7 +341,7 @@ def test_uniform_field_linear_invariant(formulation):
     state = matched_initial_states(0.0, 0.0, velocity=np.array([0.25, 0.0, 0.0]))[formulation]
     n = 40_000
     traj = integrate(state, UniformEB(e0=e0, b0=b0), T0 / 1000, n, record_every=200)
-    x, pi = traj.xs, traj.pis
+    x, pi = traj.states.x, traj.states.pi
     fx = np.empty_like(x)
     fx[:, 0] = x[:, 1:] @ e0
     fx[:, 1:] = x[:, :1] * e0 + np.cross(x[:, 1:], b0)
@@ -414,7 +414,7 @@ def test_position_flow_constraint_resonance_in_field():
 def test_spinor_velocity_stays_null_under_field():
     model = UniformEB(b0=np.array([0.0, 0.0, 1e-3]))
     traj = integrate(boosted_states()["spinor"], model, T0 / 1000, 2000)
-    nulls = np.abs(mdot(traj.us, traj.us)).max()
+    nulls = np.abs(mdot(traj.states.u, traj.states.u)).max()
     assert nulls < 1e-10, f"null residual {nulls}"
 
 

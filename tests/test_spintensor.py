@@ -13,7 +13,6 @@ from zsim.spintensor import (
     accel_spin_tensor,
     angular_momentum,
     build_spin_tensor,
-    energy_diagnostics,
     identity_suite,
     interaction_energy,
     scalar_invariant,
@@ -231,7 +230,7 @@ def test_energy_residual_zero_for_free_states():
     state = matched_initial_states(1.0, 0.5, velocity=np.array([0.4, 0.2, 0.0]))[
         "position"
     ]
-    diag = energy_diagnostics(state, FreeField(), Q_ELECTRON)
+    diag = interaction_energy(state, FreeField(), Q_ELECTRON)
     assert abs(diag["energy_residual"]) < 1e-12
     assert diag["gamma_implied"] == pytest.approx(diag["gamma_momentum"], rel=1e-12)
 
@@ -252,7 +251,7 @@ def test_moving_dipole_electric_term():
     u_e, dominant = [], []
     for x, u, y in zip(xs, us, centers):
         st8 = PositionState(x=x, u=u, y=y, pi=state0.pi)
-        diag = energy_diagnostics(st8, model, Q_ELECTRON)
+        diag = interaction_energy(st8, model, Q_ELECTRON)
         u_e.append(diag["u_electric_dominant"] + diag["u_electric_remainder"])
         dominant.append(diag["u_electric_dominant"])
     mean_ue, mean_dom = np.mean(u_e), np.mean(dominant)

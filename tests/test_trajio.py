@@ -54,7 +54,7 @@ def test_csv_round_trip_exact(tmp_path):
     cols = read_csv(path)
     assert set(cols) == set(column_names("position"))
     assert np.array_equal(cols["tau"], traj.taus)
-    assert np.array_equal(cols["u1"], traj.us[:, 1])
+    assert np.array_equal(cols["u1"], traj.states.u[:, 1])
     assert np.array_equal(cols["res_c1"], traj.residuals["c1"])
 
 
