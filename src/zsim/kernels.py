@@ -30,18 +30,37 @@ bit-identical to theirs (pinned by the test suite):
   exactly zero falls back to its full form.
 * A force row with no term left adds +-0 to its momentum, which changes
   only a zero momentum; so a nonzero one is held fixed, and what reads
-  only held momenta (the position form's y increments, the spinor's
-  1j * p2) is computed before the loop.  That needs a finite q (else
-  nothing is held); a left-out term or increment is nan otherwise only
-  through a non-finite stage u or dt, which makes x non-finite in the same
-  step in both loops.  A non-finite field value is not zero.
+  only held momenta (the position form's y increments, the spinor's -p0)
+  is computed before the loop.  That needs a finite q (else nothing is
+  held); a left-out term or increment is nan otherwise only through a
+  non-finite stage u or dt, which makes x non-finite in the same step in
+  both loops.  A non-finite field value is not zero.
+* The spinor loop carries each phi_n as the float pair re_n, im_n (CPython
+  3.11 specializes float ops, not mixed float-complex ones).  Each complex
+  product becomes its real and imaginary float lines in operand order,
+  less the products of a promoted zero part: the 0.0 imaginary part of a
+  real p, the zero real part of 1j and -1j, the promoted half, sixth and
+  2.0.  A left-out product is +-0 for finite operands, so by induction
+  every value of the float loop equals the complex loop's bit for bit, or
+  both are zero and differ at most in sign.  The u, x and Lorentz lines
+  read only these values, so they are exact wherever the amplitude parts
+  are.  A non-finite value first appears at the same op in both loops and
+  reaches the state in the same step, through u0 = sum(re_n^2 + im_n^2) or
+  through the amplitude itself, so the first non-finite record index is
+  the same.  After each stage state and each step the loop tests the eight
+  amplitude parts for an exact zero, with a chained truth test (a product
+  of small parts can underflow; the initial state, exact as given, is
+  exempt).  On a zero it returns None and the wrapper reruns the whole run
+  on complex phi, the exact path.  Only amplitudes with a computed part
+  that is exactly zero take it, such as the theta = 0 states at rest; a
+  state with a generic spin axis never does.
 
 ``perfbench``'s warm-up builds 9 loops (3 formulations; free, uniform b,
-point charge) in 17 ms, against 3 loops in 8 ms unspecialized (medians
-of 15 processes).  On one core of a 2-core machine (Python 3.11)
-criterion 1's 100k free-field steps take 0.39-0.44 s (position), 0.64 s
-(spin tensor) and 1.45 s (spinor), against 0.55, 0.80 and 1.65 s with
-every term kept and 7-11 s for the array kernels run as plain Python.
+point charge) in 19-21 ms (medians of 15 processes).  On one core of a
+2-core machine (Python 3.11) criterion 1's 100k free-field steps take
+0.25-0.28 s (position), 0.39-0.43 s (spin tensor) and 0.61-0.65 s
+(spinor; 0.93-1.05 s on complex phi), against 4.4-6.4 s for the array
+kernels run as plain Python.
 
 The equations of motion also exist at dataclass level in dynamics.deriv_*;
 the test suite pins agreement between the two implementations.
@@ -308,20 +327,16 @@ k_s2 = u3 * p1 - u1 * p3
 k_s3 = u1 * p2 - u2 * p1
 """
 
-# u on the float parts re_n, im_n of phi_n.  CPython multiplies complexes as
-# (a.re*b.re - a.im*b.im, a.re*b.im + a.im*b.re), so conj(phi_m) * phi_n is
-# (re_m*re_n + im_m*im_n, re_m*im_n - im_m*re_n): the conjugate's sign folds
-# in exactly, also for signed zeros.
-_SPINOR_RHS = """
-re1 = ph1.real
-im1 = ph1.imag
-re2 = ph2.real
-im2 = ph2.imag
-re3 = ph3.real
-im3 = ph3.imag
-re4 = ph4.real
-im4 = ph4.imag
-k_x0 = u0 = (
+# u and dphi/dtau = -i H phi on the float parts re_n, im_n of phi_n.  CPython
+# multiplies complexes as (a.re*b.re - a.im*b.im, a.re*b.im + a.im*b.re), so
+# conj(phi_m) * phi_n is (re_m*re_n + im_m*im_n, re_m*im_n - im_m*re_n): the
+# conjugate's sign folds in exactly, also for signed zeros.  It promotes a
+# float p to complex(p, 0.0).  The k_re/k_im lines are the parts of the complex
+# rhs below in its operand order, less the products of a promoted zero part:
+# of a real p, of 1j * p2 = (0 * p2 - 0.0, p2), and of -1j, which makes
+# -1j * h = (h.imag, -h.real).  The negation is distributed over h.real's
+# sum: -(a - b) and -a + b differ at most in the sign of a zero.
+_SPINOR_U = """k_x0 = u0 = (
     re1 * re1 + im1 * im1
     + re2 * re2 + im2 * im2
     + re3 * re3 + im3 * im3
@@ -331,21 +346,46 @@ k_x1 = u1 = 2.0 * ((re1 * re4 + im1 * im4) + (re2 * re3 + im2 * im3))
 k_x2 = u2 = 2.0 * (re1 * im4 - im1 * re4) - 2.0 * (re2 * im3 - im2 * re3)
 k_x3 = u3 = 2.0 * ((re1 * re3 + im1 * im3) - (re2 * re4 + im2 * im4))
 LORENTZ
-ip2 = 1j * p2
+"""
+_SPINOR_RHS = _SPINOR_U + """neg_p0 = -p0
+k_re1 = p0 * im1 - p1 * im4 + p2 * re4 - p3 * im3
+k_im1 = neg_p0 * re1 + p1 * re4 + p2 * im4 + p3 * re3
+k_re2 = p0 * im2 - p1 * im3 - p2 * re3 + p3 * im4
+k_im2 = neg_p0 * re2 + p1 * re3 - p2 * im3 - p3 * re4
+k_re3 = neg_p0 * im3 + p1 * im2 - p2 * re2 + p3 * im1
+k_im3 = p0 * re3 - p1 * re2 - p2 * im2 - p3 * re1
+k_re4 = neg_p0 * im4 + p1 * im1 + p2 * re1 - p3 * im2
+k_im4 = p0 * re4 - p1 * re1 + p2 * im1 + p3 * re2
+"""
+
+# the same rhs on complex phi_n, in the array rhs' operand order: the exact
+# path that the float-pair loop falls back to
+_SPINOR_COMPLEX_RHS = """re1 = ph1.real
+im1 = ph1.imag
+re2 = ph2.real
+im2 = ph2.imag
+re3 = ph3.real
+im3 = ph3.imag
+re4 = ph4.real
+im4 = ph4.imag
+""" + _SPINOR_U + """ip2 = 1j * p2
 k_ph1 = -1j * (p0 * ph1 - p1 * ph4 + ip2 * ph4 - p3 * ph3)
 k_ph2 = -1j * (p0 * ph2 - p1 * ph3 - ip2 * ph3 + p3 * ph4)
 k_ph3 = -1j * (-p0 * ph3 + p1 * ph2 - ip2 * ph2 + p3 * ph1)
 k_ph4 = -1j * (-p0 * ph4 + p1 * ph1 + ip2 * ph1 - p3 * ph2)
 """
 
-# per formulation: its state components in packed order, its rhs, and the
+# per formulation: its state components in packed order, a complex one
+# written re/im being carried as the float pair re, im; its rhs; and the
 # complex components whose derivatives are real
 _LOOPS = {
     "position": ("x0 x1 x2 x3 u0 u1 u2 u3 y0 y1 y2 y3 p0 p1 p2 p3", _POSITION_RHS, ""),
     "spintensor": ("x0 x1 x2 x3 u0 u1 u2 u3 p0 p1 p2 p3 d1 d2 d3 s1 s2 s3",
                    _SPINTENSOR_RHS, ""),
-    "spinor": ("x0 x1 x2 x3 p0 p1 p2 p3 ph1 ph2 ph3 ph4", _SPINOR_RHS,
+    "spinor": ("x0 x1 x2 x3 p0 p1 p2 p3 re1/im1 re2/im2 re3/im3 re4/im4", _SPINOR_RHS,
                "x0 x1 x2 x3 p0 p1 p2 p3"),
+    "spinor-complex": ("x0 x1 x2 x3 p0 p1 p2 p3 ph1 ph2 ph3 ph4", _SPINOR_COMPLEX_RHS,
+                       "x0 x1 x2 x3 p0 p1 p2 p3"),
 }
 
 
@@ -356,6 +396,13 @@ def _all_finite(s):
         return all(map(math.isfinite, map(abs, s)))
     except OverflowError:
         return False
+
+
+def _zero_guard(names):
+    """A loop line returning None if one of ``names`` is exactly zero: a
+    chained truth test, as a product of small values can underflow."""
+    test = " and ".join(names)
+    return [f"if not ({test}):\n    return None"] if test else []
 
 
 @functools.cache
@@ -371,9 +418,14 @@ def _fused_rk4(formulation, coulomb, zero, held):
     The rhs must not assign to a component's name, nor hold a brace.  The
     complex components that ``_LOOPS`` lists last have real derivatives, so
     the loop carries their real parts as floats; a complex-plus-float add
-    would leave imag + 0.0, which the records restore."""
-    names, rhs_template, real = _LOOPS[formulation]
-    names, real, body, hoisted = names.split(), real.split(), [], []
+    would leave imag + 0.0, which the records restore.  A complex component
+    written re/im is carried as two floats; after each stage state and each
+    step the loop returns None if one of these is exactly zero."""
+    packed, rhs_template, real = _LOOPS[formulation]
+    packed, real, body, hoisted = packed.split(), real.split(), [], []
+    pairs = [c.split("/") for c in packed if "/" in c]
+    names = [n for c in packed for n in c.split("/")]
+    guarded = [n for pair in pairs for n in pair]
     rhs = rhs_template.replace("LORENTZ", _lorentz(coulomb, zero, held))
     for line in filter(None, rhs.split("\n")):
         reads = set(re.findall(r"\b[a-z_]\w*", line.partition(" = ")[2]))
@@ -390,17 +442,21 @@ def _fused_rk4(formulation, coulomb, zero, held):
         if step:  # the state the next stage evaluates
             lines += [f"t_{n} = {n} + {step}_k_{n}" if n in const else
                       f"t_{n} = {n} + {step} * k{j}_{n}" for n in used]
+            lines += _zero_guard(f"t_{n}" for n in guarded)
     lines += [f"{n} = {n} + sixth_k_{n}" if n in const else
               f"{n} = {n} + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"
               for n in names if n not in held]
+    lines += _zero_guard(guarded)
     hoisted += [f"{step}_k_{n} = {step} * k_{n}" for n in const for step in ("half", "dt")]
     hoisted += [f"sixth_k_{n} = sixth * (k_{n} + 2.0 * k_{n} + 2.0 * k_{n} + k_{n})"
                 for n in const]
     loop = "\n".join(lines).replace("\n", "\n        ")
     pre = "".join(f"{line}\n    " for line in hoisted)
-    state = ", ".join(names)
+    state = ", ".join(c.split("/")[0] for c in packed)
     unpack = "".join(f"{n}_im = {n}.imag + 0.0\n    {n} = {n}.real\n    " for n in real)
-    record = ", ".join(f"complex({n}, {n}_im)" if n in real else n for n in names)
+    unpack += "".join(f"{i} = {r}.imag\n    {r} = {r}.real\n    " for r, i in pairs)
+    record = ", ".join(f"complex({c}, {c}_im)" if c in real else
+                       f"complex({c.replace('/', ', ')})" if "/" in c else c for c in packed)
     charge = ("charge, cx1, cx2, cx3 = fp[:4]\n    sqrt, nan, inf = math.sqrt, math.nan, "
               "math.inf\n    ") if coulomb else ""
     src = f"""def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
@@ -444,13 +500,17 @@ def _float_integrator(formulation):
         start = dict(zip(names, state.tolist()))
         held = tuple(p for p in _FORCE if _FACTORS[p] <= set(zero) and start[p].real != 0.0
                      and math.isfinite(q))
-        return _fused_rk4(formulation, coulomb, zero, held)(
-            state, fcode, fp, q, dt, n_steps, record_every, out)
+        args = state, fcode, fp, q, dt, n_steps, record_every, out
+        status = _fused_rk4(formulation, coulomb, zero, held)(*args)
+        if status is None:  # a float pair met a zero: rerun on the exact complex path
+            status = _fused_rk4(f"{formulation}-complex", coulomb, zero, held)(*args)
+        return status
 
     return integrate
 
 
-FLOAT_INTEGRATORS = {formulation: _float_integrator(formulation) for formulation in _LOOPS}
+FLOAT_INTEGRATORS = {formulation: _float_integrator(formulation)
+                     for formulation in ("position", "spintensor", "spinor")}
 
 INTEGRATORS = {
     "position": integrate_position,

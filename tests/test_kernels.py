@@ -151,3 +151,70 @@ def test_loops_are_built_on_first_use():
     assert after_import == "[]"
     loop = "<zsim.kernels:spintensor zero=e1,e2,e3,b1,b2,b3 held=p0>"
     assert after_integrate == ("[]" if jitted == "True" else repr([loop]))
+
+
+def generic_spinor_states(n, seed=2027):
+    """Seeded spinor states with a random axis, phase and 3-velocity up to 0.6."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        direction = rng.normal(size=3)
+        velocity = rng.uniform(0.0, 0.6) * direction / np.linalg.norm(direction)
+        states = matched_initial_states(rng.uniform(0.0, np.pi), rng.uniform(-np.pi, np.pi),
+                                        velocity=velocity, phase=rng.uniform(0.0, 2 * np.pi))
+        yield packed(states, "spinor")
+
+
+@pytest.fixture
+def requested(monkeypatch):
+    """The formulations of the loops the float drivers ask for, in order."""
+    calls = []
+    fused = kernels._fused_rk4
+    monkeypatch.setattr(kernels, "_fused_rk4", lambda *key: calls.append(key[0]) or fused(*key))
+    return calls
+
+
+@pytest.mark.parametrize("field", ["free", "uniform", "coulomb"])
+def test_spinor_float_pairs_match_array_kernel_on_seeded_states(field, requested):
+    """The spinor loop on float pairs keeps the complex flow's bits on
+    generic states, which never take the complex fallback."""
+    fcode, fparams = FIELDS[field]
+    for state in generic_spinor_states(20):
+        for q in (Q_ELECTRON, 1.0):
+            for n in (1, 7):
+                assert run_both("spinor", state, fcode, fparams, T0 / 1000, 28, n, q) == -1
+    assert set(requested) == {"spinor"}
+
+
+def test_spinor_loop_choice_follows_the_amplitude_zeros(requested):
+    """A generic state builds only the float-pair spinor loop.  A theta = 0
+    rest state, whose amplitude has exactly zero parts, builds the complex
+    loop too; so does an amplitude with signed zeros, and both keep the
+    array kernel's bits."""
+    src = str(Path(zsim.__file__).resolve().parents[1])
+    built = "print(sorted(f for f in linecache.cache if f.startswith('<zsim.kernels:')))"
+    run = ("kernels.FLOAT_INTEGRATORS['spinor'](s, 0, np.zeros(1), -1.0, 0.01, 20, 1, "
+           "np.zeros((21, 12), complex))")
+    code = ("import linecache, numpy as np; from zsim import dynamics, kernels; "
+            "states = dynamics.matched_initial_states(np.pi / 3, 0.4, velocity=np.array("
+            "[0.3, -0.2, 0.1])); s = dynamics.pack_state(states['spinor']).astype(complex); "
+            f"{run}; {built}; "
+            "s = dynamics.pack_state(dynamics.matched_initial_states(0.0)['spinor']).astype("
+            f"complex); {run}; {built}")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    after_generic, after_rest = proc.stdout.splitlines()
+    free = "zero=e1,e2,e3,b1,b2,b3 held=p0,p1,p2,p3>"
+    assert after_generic == repr([f"<zsim.kernels:spinor {free}"])
+    assert after_rest == repr([f"<zsim.kernels:spinor {free}",
+                         "<zsim.kernels:spinor zero=e1,e2,e3,b1,b2,b3 held=p0>",
+                         "<zsim.kernels:spinor-complex zero=e1,e2,e3,b1,b2,b3 held=p0>"])
+    rest = packed(STATES["rest-theta0"](), "spinor")
+    # not a physical state: on float pairs alone phi_2's -0.0 imaginary part
+    # would turn into +0.0
+    signed = np.array([0, 0, 0, 0, 1, -0.0, -0.0, -0.0,
+                       0, complex(0, -0.0), 0.5 - 0.5j, complex(-0.5, -0.0)])
+    for state in (rest, signed):
+        for field in ("free", "uniform", "coulomb"):
+            fcode, fparams = FIELDS[field]
+            assert run_both("spinor", state, fcode, fparams, T0 / 1000, 40, 1) == -1
+    assert requested == ["spinor", "spinor-complex"] * 6
