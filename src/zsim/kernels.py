@@ -54,13 +54,30 @@ bit-identical to theirs (pinned by the test suite):
   on complex phi, the exact path.  Only amplitudes with a computed part
   that is exactly zero take it, such as the theta = 0 states at rest; a
   state with a generic spin axis never does.
+* Records leave a loop in blocks of at most ``_BLOCK`` steps and at least
+  one record: each record appends its floats to one flat list, a complex
+  part as its float pair, and ``_store`` writes the block with one numpy
+  call.  ``struct`` packs each Python float as its C double, exactly (in
+  half the time of ``np.fromiter``), and the complex128 view of (re, im) is
+  complex(re, im).  The first non-finite record is found by the array
+  kernels' test, isfinite(abs(v)), which also catches a complex modulus
+  that overflows, and no record from it on is written.  Running past a
+  non-finite state to the end of its block raises nothing: float overflow
+  gives inf or nan, the one division is guarded by ``if den``, sqrt sees
+  only rsq >= 0, inf or nan, and complex products do not raise; if the
+  zero guard fires there, the run restarts on the exact complex path.
+  Steps after the last record set no record and no status, so they are
+  not run.  A diverging run thus overshoots by at most one block, and a
+  block's list stays under about 0.8 MB.
 
 ``perfbench``'s warm-up builds 9 loops (3 formulations; free, uniform b,
 point charge) in 19-21 ms (medians of 15 processes).  On one core of a
 2-core machine (Python 3.11) criterion 1's 100k free-field steps take
-0.25-0.28 s (position), 0.39-0.43 s (spin tensor) and 0.61-0.65 s
-(spinor; 0.93-1.05 s on complex phi), against 4.4-6.4 s for the array
-kernels run as plain Python.
+0.25-0.27 s (position), 0.39-0.44 s (spin tensor) and 0.59-0.65 s
+(spinor; 0.94-0.99 s on complex phi), against 4.4-6.4 s for the array
+kernels run as plain Python.  A record costs about 0.4-0.5, 0.6-0.9 and
+0.3-1.1 us (1.6-1.8, 1.9-2.3 and 2.8-3.2 us when each was checked and
+written on its own).
 
 The equations of motion also exist at dataclass level in dynamics.deriv_*;
 the test suite pins agreement between the two implementations.
@@ -72,6 +89,7 @@ import functools
 import linecache
 import math
 import re
+import struct
 
 import numpy as np
 
@@ -389,13 +407,24 @@ _LOOPS = {
 }
 
 
-def _all_finite(s):
-    # the array kernels test isfinite(abs(v)); abs of a complex with finite
-    # parts raises OverflowError where numpy's modulus overflows to inf
-    try:
-        return all(map(math.isfinite, map(abs, s)))
-    except OverflowError:
-        return False
+# the most steps a loop runs between two writes of its records
+_BLOCK = 1024
+
+
+def _store(out, base, rows):
+    """Write the records whose parts ``rows`` lists flat into ``out`` from
+    row ``base`` on, up to the first one that fails the array kernels' test
+    isfinite(abs(v)); return that one's index in the block, or -1."""
+    block = np.frombuffer(struct.pack(f"{len(rows)}d", *rows)).view(out.dtype)
+    block = block.reshape(-1, out.shape[1])
+    with np.errstate(over="ignore"):  # a complex modulus may overflow to inf
+        finite = np.isfinite(abs(block)).all(axis=1)
+    if finite.all():
+        out[base:base + len(block)] = block
+        return -1
+    bad = int(finite.argmin())
+    out[base:base + bad] = block[:bad]
+    return bad
 
 
 def _zero_guard(names):
@@ -450,13 +479,14 @@ def _fused_rk4(formulation, coulomb, zero, held):
     hoisted += [f"{step}_k_{n} = {step} * k_{n}" for n in const for step in ("half", "dt")]
     hoisted += [f"sixth_k_{n} = sixth * (k_{n} + 2.0 * k_{n} + 2.0 * k_{n} + k_{n})"
                 for n in const]
-    loop = "\n".join(lines).replace("\n", "\n        ")
+    loop = "\n".join(lines).replace("\n", "\n                ")
     pre = "".join(f"{line}\n    " for line in hoisted)
     state = ", ".join(c.split("/")[0] for c in packed)
     unpack = "".join(f"{n}_im = {n}.imag + 0.0\n    {n} = {n}.real\n    " for n in real)
     unpack += "".join(f"{i} = {r}.imag\n    {r} = {r}.real\n    " for r, i in pairs)
-    record = ", ".join(f"complex({c}, {c}_im)" if c in real else
-                       f"complex({c.replace('/', ', ')})" if "/" in c else c for c in packed)
+    # a record's floats: each complex component as its real and imaginary part
+    record = ", ".join(f"{c}, {c}_im" if c in real else c.replace("/", ", ") if "/" in c else
+                       f"{c}.real, {c}.imag" if real else c for c in packed)
     charge = ("charge, cx1, cx2, cx3 = fp[:4]\n    sqrt, nan, inf = math.sqrt, math.nan, "
               "math.inf\n    ") if coulomb else ""
     src = f"""def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
@@ -465,17 +495,19 @@ def _fused_rk4(formulation, coulomb, zero, held):
     out[0] = s
     {state} = s
     {unpack}e1, e2, e3, b1, b2, b3 = _FIELD_EB(fcode, fp, x1, x2, x3)
-    {charge}rec = 1
-    half = 0.5 * dt
+    {charge}half = 0.5 * dt
     sixth = dt / 6.0
-    {pre}for step in range(1, n_steps + 1):
-        {loop}
-        if step % record_every == 0:
-            s = [{record}]
-            if not _all_finite(s):
-                return rec
-            out[rec] = s
-            rec += 1
+    {pre}n_rec = n_steps // record_every
+    per_block = max(1, _BLOCK // record_every)
+    for base in range(1, n_rec + 1, per_block):
+        rows = []
+        for _ in range(min(per_block, n_rec + 1 - base)):
+            for _ in range(record_every):
+                {loop}
+            rows += ({record})
+        bad = _store(out, base, rows)
+        if bad >= 0:
+            return base + bad
     return -1
 """
     field = "coulomb" if coulomb else "zero=" + ",".join(zero)

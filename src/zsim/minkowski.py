@@ -24,7 +24,7 @@ _METRIC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 
 def assert_finite(a: np.ndarray, name: str = "array") -> None:
     """Raise ValueError if any component is NaN or infinite."""
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} has non-finite components: {a!r}")
 
 

@@ -26,7 +26,6 @@ the chi-squared tail is computed with ``math`` alone.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from functools import partial
 
@@ -272,6 +271,10 @@ def ensemble_uniformity(
     stat = float(((counts - expected) ** 2 / expected).sum())
     dof = bins**3 - 1
     p = _chi2_sf(dof, stat)
+    # imported here: only the counts' digest uses it, and loading OpenSSL
+    # costs the CLI's import time
+    import hashlib
+
     return {
         "flow": flow,
         "n": n,

@@ -303,7 +303,8 @@ def test_golden_hash_file_names_the_tool_calls():
 
 def test_cli_import_loads_no_scipy(tmp_path):
     """No scipy module is loaded by importing the CLI, nor by running either
-    ensemble flow, the verb that once imported it."""
+    ensemble flow, the verb that once imported it; nor is concurrent.futures
+    or hashlib (OpenSSL), which only one branch of a verb uses."""
     src = str(Path(zsim.__file__).resolve().parents[1])
     code = ("import sys\n"
             "from zsim.cli import main\n"
@@ -317,10 +318,11 @@ def test_cli_import_loads_no_scipy(tmp_path):
                               text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
                               timeout=120)
         assert proc.stdout.splitlines()[-1] == want
-    code = "import sys, zsim.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, zsim.cli; print([m for m in "
+            "('concurrent.futures', 'hashlib', '_hashlib') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_import_loads_only_what_it_names():

@@ -218,3 +218,54 @@ def test_spinor_loop_choice_follows_the_amplitude_zeros(requested):
             fcode, fparams = FIELDS[field]
             assert run_both("spinor", state, fcode, fparams, T0 / 1000, 40, 1) == -1
     assert requested == ["spinor", "spinor-complex"] * 6
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+def test_records_keep_their_bits_across_block_boundaries(block, monkeypatch, requested):
+    """The float loops write their records in blocks of at most
+    ``kernels._BLOCK`` steps, read at call time, so no loop is rebuilt.  With
+    blocks of 1, 3 and 7 steps a block ends after every record, or mid-way
+    through the runs of the pins above, also at and past a non-finite state."""
+    monkeypatch.setattr(kernels, "_BLOCK", block)
+    for field in ("free", "uniform", "coulomb"):
+        test_spinor_float_pairs_match_array_kernel_on_seeded_states(field, requested)
+    for name in FORMULATIONS:
+        test_divergence_index_matches_on_blow_up(name)
+        for field in FIELDS:
+            test_divergence_index_matches_for_non_finite_charge(name, field)
+    test_divergence_index_matches_when_complex_modulus_overflows()
+
+
+@pytest.mark.parametrize("name", FORMULATIONS)
+def test_records_keep_their_bits_over_several_blocks(name):
+    """2500 steps recorded after each fill three blocks of the default size."""
+    fcode, fparams = FIELDS["uniform"]
+    state = packed(STATES["boosted"](), name)
+    assert 2500 > 2 * kernels._BLOCK
+    assert run_both(name, state, fcode, fparams, T0 / 1000, 2500, 1) == -1
+
+
+@pytest.mark.parametrize("name", FORMULATIONS)
+def test_blow_up_stops_within_one_block(name, monkeypatch):
+    """A run of 10**7 steps that blows up in its first block returns the
+    array kernel's index and records.  The array kernel stops at the first
+    non-finite record; the float loop runs on to the end of its block, which
+    spans at most ``kernels._BLOCK`` steps, and no further."""
+    records = []
+    store = kernels._store
+    monkeypatch.setattr(kernels, "_store", lambda out, base, rows: records.append(
+        len(rows) * 8 // out[0].nbytes) or store(out, base, rows))
+    state = packed(STATES["boosted"](), name)
+    fcode, fparams = FIELDS["free"]
+    for every in (1, 10):
+        results = []
+        for kernel in (kernels.FLOAT_INTEGRATORS[name], ARRAY_KERNELS[name]):
+            # room for two blocks: a loop that ran on would write past them
+            out = np.zeros((2 * kernels._BLOCK // every + 1, state.shape[0]), dtype=state.dtype)
+            with np.errstate(all="ignore"):
+                status = kernel(state.copy(), fcode, fparams, Q_ELECTRON, 10.0, 10**7, every, out)
+            results.append((status, out.tobytes()))
+        assert 0 < results[1][0] < kernels._BLOCK // every
+        assert results[0] == results[1]
+        assert records == [kernels._BLOCK // every]
+        records.clear()
