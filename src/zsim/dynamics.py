@@ -198,9 +198,7 @@ def pack_state(state: DynState) -> np.ndarray:
         return np.concatenate([state.x, state.u, state.y, state.pi])
     if isinstance(state, SpinTensorState):
         return np.concatenate([state.x, state.u, state.pi, *antisymmetric_parts(state.spin)])
-    return np.concatenate(
-        [state.x.astype(np.complex128), state.pi.astype(np.complex128), state.phi]
-    )
+    return np.concatenate([state.x, state.pi, state.phi.view(np.float64)])
 
 
 def unpack_state(formulation: str, packed: np.ndarray) -> DynState:
@@ -211,7 +209,7 @@ def unpack_state(formulation: str, packed: np.ndarray) -> DynState:
     if formulation == "spintensor":
         spin = antisymmetric_tensor(packed[..., 12:15], packed[..., 15:18])
         return SpinTensorState(x, packed[..., 4:8], spin, packed[..., 8:12])
-    return SpinorState(x.real, packed[..., 8:12], packed[..., 4:8].real)
+    return SpinorState(x, packed[..., 8:16].view(np.complex128), packed[..., 4:8])
 
 
 # ---------------------------------------------------------------------------

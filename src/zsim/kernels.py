@@ -5,7 +5,7 @@ with classical RK4 at constant proper-time step.  The layouts are
 
 * position:    float64[16]    = x(4) u(4) y(4) pi(4)
 * spintensor:  float64[18]    = x(4) u(4) pi(4) d(3) s(3)
-* spinor:      complex128[12] = x(4) pi(4) phi(4)   (x, pi stay real)
+* spinor:      float64[16]    = x(4) pi(4) re1 im1 ... re4 im4   (phi_n = re_n + i im_n)
 
 Field models are encoded as (code, params): 0 = free, 1 = uniform with
 params (e0, b0), 2 = point charge with params (Z, center).  Recording
@@ -35,49 +35,30 @@ bit-identical to theirs (pinned by the test suite):
   held); a left-out term or increment is nan otherwise only through a
   non-finite stage u or dt, which makes x non-finite in the same step in
   both loops.  A non-finite field value is not zero.
-* The spinor loop carries each phi_n as the float pair re_n, im_n (CPython
-  3.11 specializes float ops, not mixed float-complex ones).  Each complex
-  product becomes its real and imaginary float lines in operand order,
-  less the products of a promoted zero part: the 0.0 imaginary part of a
-  real p, the zero real part of 1j and -1j, the promoted half, sixth and
-  2.0.  A left-out product is +-0 for finite operands, so by induction
-  every value of the float loop equals the complex loop's bit for bit, or
-  both are zero and differ at most in sign.  The u, x and Lorentz lines
-  read only these values, so they are exact wherever the amplitude parts
-  are.  A non-finite value first appears at the same op in both loops and
-  reaches the state in the same step, through u0 = sum(re_n^2 + im_n^2) or
-  through the amplitude itself, so the first non-finite record index is
-  the same.  After each stage state and each step the loop tests the eight
-  amplitude parts for an exact zero, with a chained truth test (a product
-  of small parts can underflow; the initial state, exact as given, is
-  exempt).  On a zero it returns None and the wrapper reruns the whole run
-  on complex phi, the exact path.  Only amplitudes with a computed part
-  that is exactly zero take it, such as the theta = 0 states at rest; a
-  state with a generic spin axis never does.
+* The spinor carries each phi_n as the float pair re_n, im_n (CPython 3.11
+  specializes float ops, not mixed float-complex ones), and both the array
+  rhs and the loops evaluate -i H phi as the same float lines.
 * Records leave a loop in blocks of at most ``_BLOCK`` steps and at least
-  one record: each record appends its floats to one flat list, a complex
-  part as its float pair, and ``_store`` writes the block with one numpy
-  call.  ``struct`` packs each Python float as its C double, exactly (in
-  half the time of ``np.fromiter``), and the complex128 view of (re, im) is
-  complex(re, im).  The first non-finite record is found by the array
-  kernels' test, isfinite(abs(v)), which also catches a complex modulus
-  that overflows, and no record from it on is written.  Running past a
-  non-finite state to the end of its block raises nothing: float overflow
-  gives inf or nan, the one division is guarded by ``if den``, sqrt sees
-  only rsq >= 0, inf or nan, and complex products do not raise; if the
-  zero guard fires there, the run restarts on the exact complex path.
-  Steps after the last record set no record and no status, so they are
-  not run.  A diverging run thus overshoots by at most one block, and a
-  block's list stays under about 0.8 MB.
+  one record: each record appends its floats to one flat list, and
+  ``_store`` writes the block with one numpy call.  ``struct`` packs each
+  Python float as its C double, exactly (in half the time of
+  ``np.fromiter``).  The first non-finite record is found by the array
+  kernels' test, isfinite(v), and no record from it on is written.
+  Running past a non-finite state to the end of its block raises nothing:
+  float overflow gives inf or nan, the one division is guarded by
+  ``if den``, and sqrt sees only rsq >= 0, inf or nan.  Steps after the
+  last record set no record and no status, so they are not run.  A
+  diverging run thus overshoots by at most one block, and a block's list
+  stays under about 0.8 MB.
 
 ``perfbench``'s warm-up builds 9 loops (3 formulations; free, uniform b,
 point charge) in 19-21 ms (medians of 15 processes).  On one core of a
 2-core machine (Python 3.11) criterion 1's 100k free-field steps take
-0.25-0.27 s (position), 0.39-0.44 s (spin tensor) and 0.59-0.65 s
-(spinor; 0.94-0.99 s on complex phi), against 4.4-6.4 s for the array
-kernels run as plain Python.  A record costs about 0.4-0.5, 0.6-0.9 and
-0.3-1.1 us (1.6-1.8, 1.9-2.3 and 2.8-3.2 us when each was checked and
-written on its own).
+0.25-0.27 s (position) and 0.39-0.44 s (spin tensor), against 4.4-6.4 s
+for the array kernels run as plain Python; the spinor's take 0.74-0.89 s
+in a slower hour, in which the position's took 0.27-0.41 s.  A record
+costs about 0.4-0.5, 0.6-0.9 and 0.3-1.1 us (1.6-1.8, 1.9-2.3 and
+2.8-3.2 us when each was checked and written on its own).
 
 The equations of motion also exist at dataclass level in dynamics.deriv_*;
 the test suite pins agreement between the two implementations.
@@ -185,23 +166,20 @@ def rhs_spintensor(s, fcode, fp, q, out):
 
 @_jit
 def rhs_spinor(s, fcode, fp, q, out):
-    p0 = s[4].real
-    p1 = s[5].real
-    p2 = s[6].real
-    p3 = s[7].real
-    ph1, ph2, ph3, ph4 = s[8], s[9], s[10], s[11]
-    c1 = np.conj(ph1)
-    c2 = np.conj(ph2)
+    p0, p1, p2, p3 = s[4], s[5], s[6], s[7]
+    re1, im1, re2, im2 = s[8], s[9], s[10], s[11]
+    re3, im3, re4, im4 = s[12], s[13], s[14], s[15]
+    # u = phibar gamma phi, with conj(phi_m) phi_n on the float parts
     u0 = (
-        ph1.real * ph1.real + ph1.imag * ph1.imag
-        + ph2.real * ph2.real + ph2.imag * ph2.imag
-        + ph3.real * ph3.real + ph3.imag * ph3.imag
-        + ph4.real * ph4.real + ph4.imag * ph4.imag
+        re1 * re1 + im1 * im1
+        + re2 * re2 + im2 * im2
+        + re3 * re3 + im3 * im3
+        + re4 * re4 + im4 * im4
     )
-    u1 = 2.0 * (c1 * ph4 + c2 * ph3).real
-    u2 = 2.0 * (c1 * ph4).imag - 2.0 * (c2 * ph3).imag
-    u3 = 2.0 * (c1 * ph3 - c2 * ph4).real
-    e1, e2, e3, b1, b2, b3 = _field_eb(fcode, fp, s[1].real, s[2].real, s[3].real)
+    u1 = 2.0 * ((re1 * re4 + im1 * im4) + (re2 * re3 + im2 * im3))
+    u2 = 2.0 * (re1 * im4 - im1 * re4) - 2.0 * (re2 * im3 - im2 * re3)
+    u3 = 2.0 * ((re1 * re3 + im1 * im3) - (re2 * re4 + im2 * im4))
+    e1, e2, e3, b1, b2, b3 = _field_eb(fcode, fp, s[1], s[2], s[3])
     f0, f1, f2, f3 = _force(q, e1, e2, e3, b1, b2, b3, u0, u1, u2, u3)
     out[0] = u0
     out[1] = u1
@@ -212,14 +190,15 @@ def rhs_spinor(s, fcode, fp, q, out):
     out[6] = f2
     out[7] = f3
     # dphi/dtau = -i H phi, H = pi0 g0 - pi1 g1 - pi2 g2 - pi3 g3
-    h1 = p0 * ph1 - p1 * ph4 + 1j * p2 * ph4 - p3 * ph3
-    h2 = p0 * ph2 - p1 * ph3 - 1j * p2 * ph3 + p3 * ph4
-    h3 = -p0 * ph3 + p1 * ph2 - 1j * p2 * ph2 + p3 * ph1
-    h4 = -p0 * ph4 + p1 * ph1 + 1j * p2 * ph1 - p3 * ph2
-    out[8] = -1j * h1
-    out[9] = -1j * h2
-    out[10] = -1j * h3
-    out[11] = -1j * h4
+    neg_p0 = -p0
+    out[8] = p0 * im1 - p1 * im4 + p2 * re4 - p3 * im3
+    out[9] = neg_p0 * re1 + p1 * re4 + p2 * im4 + p3 * re3
+    out[10] = p0 * im2 - p1 * im3 - p2 * re3 + p3 * im4
+    out[11] = neg_p0 * re2 + p1 * re3 - p2 * im3 - p3 * re4
+    out[12] = neg_p0 * im3 + p1 * im2 - p2 * re2 + p3 * im1
+    out[13] = p0 * re3 - p1 * re2 - p2 * im2 - p3 * re1
+    out[14] = neg_p0 * im4 + p1 * im1 + p2 * re1 - p3 * im2
+    out[15] = p0 * re4 - p1 * re1 + p2 * im1 + p3 * re2
 
 
 def _array_rk4(rhs):
@@ -256,7 +235,7 @@ def _array_rk4(rhs):
             if step % record_every == 0:
                 ok = True
                 for i in range(n):
-                    if not np.isfinite(abs(s[i])):
+                    if not np.isfinite(s[i]):
                         ok = False
                 if not ok:
                     return rec
@@ -345,15 +324,11 @@ k_s2 = u3 * p1 - u1 * p3
 k_s3 = u1 * p2 - u2 * p1
 """
 
-# u and dphi/dtau = -i H phi on the float parts re_n, im_n of phi_n.  CPython
-# multiplies complexes as (a.re*b.re - a.im*b.im, a.re*b.im + a.im*b.re), so
-# conj(phi_m) * phi_n is (re_m*re_n + im_m*im_n, re_m*im_n - im_m*re_n): the
-# conjugate's sign folds in exactly, also for signed zeros.  It promotes a
-# float p to complex(p, 0.0).  The k_re/k_im lines are the parts of the complex
-# rhs below in its operand order, less the products of a promoted zero part:
-# of a real p, of 1j * p2 = (0 * p2 - 0.0, p2), and of -1j, which makes
-# -1j * h = (h.imag, -h.real).  The negation is distributed over h.real's
-# sum: -(a - b) and -a + b differ at most in the sign of a zero.
+# rhs_spinor's lines: u and dphi/dtau = -i H phi on the float parts re_n,
+# im_n of phi_n.  They are the real and imaginary rows of
+# spinor.state_derivative's complex products: conj(phi_m) * phi_n is
+# (re_m*re_n + im_m*im_n, re_m*im_n - im_m*re_n), and -i * h is
+# (h.imag, -h.real).
 _SPINOR_U = """k_x0 = u0 = (
     re1 * re1 + im1 * im1
     + re2 * re2 + im2 * im2
@@ -376,34 +351,11 @@ k_re4 = neg_p0 * im4 + p1 * im1 + p2 * re1 - p3 * im2
 k_im4 = p0 * re4 - p1 * re1 + p2 * im1 + p3 * re2
 """
 
-# the same rhs on complex phi_n, in the array rhs' operand order: the exact
-# path that the float-pair loop falls back to
-_SPINOR_COMPLEX_RHS = """re1 = ph1.real
-im1 = ph1.imag
-re2 = ph2.real
-im2 = ph2.imag
-re3 = ph3.real
-im3 = ph3.imag
-re4 = ph4.real
-im4 = ph4.imag
-""" + _SPINOR_U + """ip2 = 1j * p2
-k_ph1 = -1j * (p0 * ph1 - p1 * ph4 + ip2 * ph4 - p3 * ph3)
-k_ph2 = -1j * (p0 * ph2 - p1 * ph3 - ip2 * ph3 + p3 * ph4)
-k_ph3 = -1j * (-p0 * ph3 + p1 * ph2 - ip2 * ph2 + p3 * ph1)
-k_ph4 = -1j * (-p0 * ph4 + p1 * ph1 + ip2 * ph1 - p3 * ph2)
-"""
-
-# per formulation: its state components in packed order, a complex one
-# written re/im being carried as the float pair re, im; its rhs; and the
-# complex components whose derivatives are real
+# per formulation: its state components in packed order, and its rhs
 _LOOPS = {
-    "position": ("x0 x1 x2 x3 u0 u1 u2 u3 y0 y1 y2 y3 p0 p1 p2 p3", _POSITION_RHS, ""),
-    "spintensor": ("x0 x1 x2 x3 u0 u1 u2 u3 p0 p1 p2 p3 d1 d2 d3 s1 s2 s3",
-                   _SPINTENSOR_RHS, ""),
-    "spinor": ("x0 x1 x2 x3 p0 p1 p2 p3 re1/im1 re2/im2 re3/im3 re4/im4", _SPINOR_RHS,
-               "x0 x1 x2 x3 p0 p1 p2 p3"),
-    "spinor-complex": ("x0 x1 x2 x3 p0 p1 p2 p3 ph1 ph2 ph3 ph4", _SPINOR_COMPLEX_RHS,
-                       "x0 x1 x2 x3 p0 p1 p2 p3"),
+    "position": ("x0 x1 x2 x3 u0 u1 u2 u3 y0 y1 y2 y3 p0 p1 p2 p3", _POSITION_RHS),
+    "spintensor": ("x0 x1 x2 x3 u0 u1 u2 u3 p0 p1 p2 p3 d1 d2 d3 s1 s2 s3", _SPINTENSOR_RHS),
+    "spinor": ("x0 x1 x2 x3 p0 p1 p2 p3 re1 im1 re2 im2 re3 im3 re4 im4", _SPINOR_RHS),
 }
 
 
@@ -414,24 +366,15 @@ _BLOCK = 1024
 def _store(out, base, rows):
     """Write the records whose parts ``rows`` lists flat into ``out`` from
     row ``base`` on, up to the first one that fails the array kernels' test
-    isfinite(abs(v)); return that one's index in the block, or -1."""
-    block = np.frombuffer(struct.pack(f"{len(rows)}d", *rows)).view(out.dtype)
-    block = block.reshape(-1, out.shape[1])
-    with np.errstate(over="ignore"):  # a complex modulus may overflow to inf
-        finite = np.isfinite(abs(block)).all(axis=1)
+    isfinite(v); return that one's index in the block, or -1."""
+    block = np.frombuffer(struct.pack(f"{len(rows)}d", *rows)).reshape(-1, out.shape[1])
+    finite = np.isfinite(block).all(axis=1)
     if finite.all():
         out[base:base + len(block)] = block
         return -1
     bad = int(finite.argmin())
     out[base:base + bad] = block[:bad]
     return bad
-
-
-def _zero_guard(names):
-    """A loop line returning None if one of ``names`` is exactly zero: a
-    chained truth test, as a product of small values can underflow."""
-    test = " and ".join(names)
-    return [f"if not ({test}):\n    return None"] if test else []
 
 
 @functools.cache
@@ -442,19 +385,10 @@ def _fused_rk4(formulation, coulomb, zero, held):
     inlined per stage without the Lorentz terms of the field components in
     ``zero``.  The momenta in ``held`` stay fixed; rhs lines that read only
     them run once before the loop, and a derivative k_n they fix becomes
-    the increments <step>_k_n.
-
-    The rhs must not assign to a component's name, nor hold a brace.  The
-    complex components that ``_LOOPS`` lists last have real derivatives, so
-    the loop carries their real parts as floats; a complex-plus-float add
-    would leave imag + 0.0, which the records restore.  A complex component
-    written re/im is carried as two floats; after each stage state and each
-    step the loop returns None if one of these is exactly zero."""
-    packed, rhs_template, real = _LOOPS[formulation]
-    packed, real, body, hoisted = packed.split(), real.split(), [], []
-    pairs = [c.split("/") for c in packed if "/" in c]
-    names = [n for c in packed for n in c.split("/")]
-    guarded = [n for pair in pairs for n in pair]
+    the increments <step>_k_n.  The rhs must not assign to a component's
+    name, nor hold a brace."""
+    packed, rhs_template = _LOOPS[formulation]
+    names, body, hoisted = packed.split(), [], []
     rhs = rhs_template.replace("LORENTZ", _lorentz(coulomb, zero, held))
     for line in filter(None, rhs.split("\n")):
         reads = set(re.findall(r"\b[a-z_]\w*", line.partition(" = ")[2]))
@@ -471,22 +405,15 @@ def _fused_rk4(formulation, coulomb, zero, held):
         if step:  # the state the next stage evaluates
             lines += [f"t_{n} = {n} + {step}_k_{n}" if n in const else
                       f"t_{n} = {n} + {step} * k{j}_{n}" for n in used]
-            lines += _zero_guard(f"t_{n}" for n in guarded)
     lines += [f"{n} = {n} + sixth_k_{n}" if n in const else
               f"{n} = {n} + sixth * (k1_{n} + 2.0 * k2_{n} + 2.0 * k3_{n} + k4_{n})"
               for n in names if n not in held]
-    lines += _zero_guard(guarded)
     hoisted += [f"{step}_k_{n} = {step} * k_{n}" for n in const for step in ("half", "dt")]
     hoisted += [f"sixth_k_{n} = sixth * (k_{n} + 2.0 * k_{n} + 2.0 * k_{n} + k_{n})"
                 for n in const]
     loop = "\n".join(lines).replace("\n", "\n                ")
     pre = "".join(f"{line}\n    " for line in hoisted)
-    state = ", ".join(c.split("/")[0] for c in packed)
-    unpack = "".join(f"{n}_im = {n}.imag + 0.0\n    {n} = {n}.real\n    " for n in real)
-    unpack += "".join(f"{i} = {r}.imag\n    {r} = {r}.real\n    " for r, i in pairs)
-    # a record's floats: each complex component as its real and imaginary part
-    record = ", ".join(f"{c}, {c}_im" if c in real else c.replace("/", ", ") if "/" in c else
-                       f"{c}.real, {c}.imag" if real else c for c in packed)
+    state = ", ".join(names)
     charge = ("charge, cx1, cx2, cx3 = fp[:4]\n    sqrt, nan, inf = math.sqrt, math.nan, "
               "math.inf\n    ") if coulomb else ""
     src = f"""def integrate(state, fcode, fp, q, dt, n_steps, record_every, out):
@@ -494,7 +421,7 @@ def _fused_rk4(formulation, coulomb, zero, held):
     fp = fp.tolist()
     out[0] = s
     {state} = s
-    {unpack}e1, e2, e3, b1, b2, b3 = _FIELD_EB(fcode, fp, x1, x2, x3)
+    e1, e2, e3, b1, b2, b3 = _FIELD_EB(fcode, fp, x1, x2, x3)
     {charge}half = 0.5 * dt
     sixth = dt / 6.0
     {pre}n_rec = n_steps // record_every
@@ -504,7 +431,7 @@ def _fused_rk4(formulation, coulomb, zero, held):
         for _ in range(min(per_block, n_rec + 1 - base)):
             for _ in range(record_every):
                 {loop}
-            rows += ({record})
+            rows += ({state})
         bad = _store(out, base, rows)
         if bad >= 0:
             return base + bad
@@ -530,13 +457,10 @@ def _float_integrator(formulation):
         eb = (1.0,) * 3 + (0.0,) * 3 if coulomb else _FIELD_EB(fcode, fp, 0.0, 0.0, 0.0)
         zero = tuple(n for n, v in zip(_EB, eb) if v == 0.0)
         start = dict(zip(names, state.tolist()))
-        held = tuple(p for p in _FORCE if _FACTORS[p] <= set(zero) and start[p].real != 0.0
+        held = tuple(p for p in _FORCE if _FACTORS[p] <= set(zero) and start[p] != 0.0
                      and math.isfinite(q))
-        args = state, fcode, fp, q, dt, n_steps, record_every, out
-        status = _fused_rk4(formulation, coulomb, zero, held)(*args)
-        if status is None:  # a float pair met a zero: rerun on the exact complex path
-            status = _fused_rk4(f"{formulation}-complex", coulomb, zero, held)(*args)
-        return status
+        loop = _fused_rk4(formulation, coulomb, zero, held)
+        return loop(state, fcode, fp, q, dt, n_steps, record_every, out)
 
     return integrate
 
@@ -559,5 +483,5 @@ RHS = {
 STATE_DTYPE = {
     "position": np.float64,
     "spintensor": np.float64,
-    "spinor": np.complex128,
+    "spinor": np.float64,
 }

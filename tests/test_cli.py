@@ -2,11 +2,13 @@
 
 import ast
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -288,17 +290,41 @@ def test_compare_pool_has_at_most_one_worker_per_formulation(tmp_path, monkeypat
     assert sizes == [3]
 
 
-def test_golden_hash_file_names_the_tool_calls():
-    """tools/SHA256SUMS holds one exit line per call of tools/artifact_hashes.py,
-    in order, so a call added, dropped or edited without regenerating it fails here."""
+def _hash_tool():
+    """tools/artifact_hashes.py as a module, and the lines of tools/SHA256SUMS."""
     tools = Path(__file__).resolve().parents[1] / "tools"
     spec = importlib.util.spec_from_file_location("artifact_hashes", tools / "artifact_hashes.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    lines = (tools / "SHA256SUMS").read_text().splitlines()
+    return tool, (tools / "SHA256SUMS").read_text().splitlines()
+
+
+def test_golden_hash_file_names_the_tool_calls():
+    """tools/SHA256SUMS holds one exit line per call of tools/artifact_hashes.py,
+    in order, so a call added, dropped or edited without regenerating it fails here."""
+    tool, lines = _hash_tool()
     # "exit <code>  <argv>", then "  error: ..." when the call printed one
     named = [line.split("  ")[1] for line in lines if line.startswith("exit ")]
     assert named == [" ".join(argv) for argv in tool.calls()]
+
+
+def test_rest_spinor_run_keeps_its_golden_bytes(tmp_path):
+    """The theta = 0 rest spinor run, whose amplitude has exactly zero parts,
+    writes the artifact bytes that tools/SHA256SUMS records for its call."""
+    tool, lines = _hash_tool()
+    host = (platform.python_version(), np.__version__, platform.machine())
+    made_on = re.search(r"Python (\S+) and numpy (\S+) on (\S+)", tool.__doc__).groups()
+    if host != made_on:
+        pytest.skip(f"host Python {host[0]}, numpy {host[1]}, {host[2]}: the golden "
+                    f"bytes were made with Python {made_on[0]}, numpy {made_on[1]}, {made_on[2]}")
+    argv = ["run", "--scenario", "free-rest", "--formulation", "spinor"]
+    where = tmp_path / tool._slug(tool.calls().index(argv), argv)
+    assert main([*argv, "--out", str(where)]) == EXIT_OK
+    got = [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(tmp_path)}"
+           for path in sorted(where.rglob("*"))]
+    want = [line for line in lines if line.partition("  ")[2].startswith(f"{where.name}/")]
+    assert len(want) == 2
+    assert got == want
 
 
 def test_cli_import_loads_no_scipy(tmp_path):

@@ -92,9 +92,6 @@ def test_float_driver_matches_array_kernels(name, which, field):
         assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3, q) == -1
         for n in (1, 7):  # a record after every step, and only after the last
             assert run_both(name, state, fcode, fparams, T0 / 1000, n, n, q) == -1
-        if name == "spinor":  # imaginary parts of x and pi, which no rhs reads
-            state[:8] += 1j * np.linspace(-2.0, 3.0, 8)
-            assert run_both(name, state, fcode, fparams, T0 / 1000, 300, 3, q) == -1
 
 
 @pytest.mark.parametrize("name", FORMULATIONS)
@@ -125,11 +122,11 @@ def test_divergence_index_matches_for_non_finite_charge(name, field):
         assert run_both(name, state, fcode, fparams, T0 / 1000, 10, 1, q) == 1
 
 
-def test_divergence_index_matches_when_complex_modulus_overflows():
-    # finite parts whose modulus overflows: numpy's abs gives inf, Python's
-    # abs raises OverflowError
+def test_divergence_index_matches_when_amplitude_squares_overflow():
+    # finite amplitude parts whose squares overflow: u0, and so x0, is
+    # inf after the first step
     state = packed(STATES["boosted"](), "spinor")
-    state[0] = complex(1.7e308, 1.7e308)
+    state[8:10] = 1.7e308
     fcode, fparams = FIELDS["free"]
     assert run_both("spinor", state, fcode, fparams, T0 / 1000, 10, 1) == 1
 
@@ -175,8 +172,7 @@ def requested(monkeypatch):
 
 @pytest.mark.parametrize("field", ["free", "uniform", "coulomb"])
 def test_spinor_float_pairs_match_array_kernel_on_seeded_states(field, requested):
-    """The spinor loop on float pairs keeps the complex flow's bits on
-    generic states, which never take the complex fallback."""
+    """The spinor loop keeps the array kernel's bits on generic states."""
     fcode, fparams = FIELDS[field]
     for state in generic_spinor_states(20):
         for q in (Q_ELECTRON, 1.0):
@@ -185,39 +181,37 @@ def test_spinor_float_pairs_match_array_kernel_on_seeded_states(field, requested
     assert set(requested) == {"spinor"}
 
 
-def test_spinor_loop_choice_follows_the_amplitude_zeros(requested):
-    """A generic state builds only the float-pair spinor loop.  A theta = 0
-    rest state, whose amplitude has exactly zero parts, builds the complex
-    loop too; so does an amplitude with signed zeros, and both keep the
-    array kernel's bits."""
+def test_spinor_loop_choice_ignores_the_amplitude_zeros(requested):
+    """The spinor loops are built per field and held momenta only.  A theta = 0
+    rest state, whose amplitude has exactly zero parts, builds one loop per
+    field, as a generic state does, and so does an amplitude with signed
+    zeros; both keep the array kernel's bits."""
     src = str(Path(zsim.__file__).resolve().parents[1])
     built = "print(sorted(f for f in linecache.cache if f.startswith('<zsim.kernels:')))"
     run = ("kernels.FLOAT_INTEGRATORS['spinor'](s, 0, np.zeros(1), -1.0, 0.01, 20, 1, "
-           "np.zeros((21, 12), complex))")
+           "np.zeros((21, 16)))")
     code = ("import linecache, numpy as np; from zsim import dynamics, kernels; "
             "states = dynamics.matched_initial_states(np.pi / 3, 0.4, velocity=np.array("
-            "[0.3, -0.2, 0.1])); s = dynamics.pack_state(states['spinor']).astype(complex); "
+            "[0.3, -0.2, 0.1])); s = dynamics.pack_state(states['spinor']); "
             f"{run}; {built}; "
-            "s = dynamics.pack_state(dynamics.matched_initial_states(0.0)['spinor']).astype("
-            f"complex); {run}; {built}")
+            "s = dynamics.pack_state(dynamics.matched_initial_states(0.0)['spinor']); "
+            f"{run}; {built}")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     after_generic, after_rest = proc.stdout.splitlines()
     free = "zero=e1,e2,e3,b1,b2,b3 held=p0,p1,p2,p3>"
     assert after_generic == repr([f"<zsim.kernels:spinor {free}"])
     assert after_rest == repr([f"<zsim.kernels:spinor {free}",
-                         "<zsim.kernels:spinor zero=e1,e2,e3,b1,b2,b3 held=p0>",
-                         "<zsim.kernels:spinor-complex zero=e1,e2,e3,b1,b2,b3 held=p0>"])
+                               "<zsim.kernels:spinor zero=e1,e2,e3,b1,b2,b3 held=p0>"])
     rest = packed(STATES["rest-theta0"](), "spinor")
-    # not a physical state: on float pairs alone phi_2's -0.0 imaginary part
-    # would turn into +0.0
+    # not a physical state: signed-zero momenta and amplitude parts
     signed = np.array([0, 0, 0, 0, 1, -0.0, -0.0, -0.0,
-                       0, complex(0, -0.0), 0.5 - 0.5j, complex(-0.5, -0.0)])
+                       0, 0, 0, -0.0, 0.5, -0.5, -0.5, -0.0])
     for state in (rest, signed):
         for field in ("free", "uniform", "coulomb"):
             fcode, fparams = FIELDS[field]
             assert run_both("spinor", state, fcode, fparams, T0 / 1000, 40, 1) == -1
-    assert requested == ["spinor", "spinor-complex"] * 6
+    assert requested == ["spinor"] * 6
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])
@@ -233,7 +227,7 @@ def test_records_keep_their_bits_across_block_boundaries(block, monkeypatch, req
         test_divergence_index_matches_on_blow_up(name)
         for field in FIELDS:
             test_divergence_index_matches_for_non_finite_charge(name, field)
-    test_divergence_index_matches_when_complex_modulus_overflows()
+    test_divergence_index_matches_when_amplitude_squares_overflow()
 
 
 @pytest.mark.parametrize("name", FORMULATIONS)

@@ -230,9 +230,9 @@ def test_stacked_bilinears_match_single_state_bytes(n):
     pi = momentum_of(np.array([0.3, -0.6, 0.2]))
     amps = boost_state(spin_amplitudes(0.0), BoostParams(pi[1:] / pi[0]))
     evolved = evolve_amplitudes(amps, pi, np.linspace(0.0, 3 * T0, n))
-    packed = np.zeros((n, 12), dtype=np.complex128)
-    packed[:, 8:12] = evolved
-    for stack in (evolved, packed[:, 8:12]):
+    packed = np.zeros((n, 16))
+    packed[:, 8:16] = evolved.view(np.float64)
+    for stack in (evolved, packed[:, 8:16].view(np.complex128)):
         us = velocity_observable(stack)
         spins = spin_tensor_observable(stack)
         assert us.shape == (n, 4) and spins.shape == (n, 4, 4)
